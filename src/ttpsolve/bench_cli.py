@@ -95,7 +95,10 @@ def final_metrics(run_dir):
     """Per-repetition final (population_hv, best_reward) of one run dir."""
     out = []
     for rep in sorted(Path(run_dir).glob("rep_*.jsonl")):
-        last = read_records(rep)[-1]
+        records = read_records(rep)
+        if not records:
+            raise ValueError(f"no records in {rep}")
+        last = records[-1]
         out.append({"final_hypervolume": last["population_hv"],
                     "best_reward": last["best_reward"],
                     "archive_hv": last["archive_hv"]})

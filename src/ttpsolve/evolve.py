@@ -129,8 +129,10 @@ def survivor_select(pop, mu, rng, kind, recompute=True):
     """Trim to ``mu`` by repeated removal of a minimal-indicator individual.
 
     Ties break uniformly at random.  By default the surface-relative
-    indicators are recomputed after every removal, since removing a
-    contributor changes the surface.
+    indicators are recomputed after every removal but the last, since
+    removing a contributor changes the surface.  The survivors' values are
+    therefore stale on return; the caller refreshes them with
+    :func:`compute_indicators`, which also yields the survivors' surface.
     """
     pop = list(pop)
     while len(pop) > mu:
@@ -139,8 +141,6 @@ def survivor_select(pop, mu, rng, kind, recompute=True):
         pop.pop(int(rng.choice(worst)))
         if recompute and len(pop) > mu:
             compute_indicators(pop, kind)
-    if pop:
-        compute_indicators(pop, kind)
     return pop
 
 
@@ -249,16 +249,9 @@ class _Archive:
             self.best_plan = front.plan_items(int(front.rewards.argmax()))
         rewards = np.concatenate((self.rewards, front.rewards))
         weights = np.concatenate((self.weights, front.weights))
-        order = np.lexsort((np.arange(rewards.size), -rewards, weights))
-        keep_r, keep_w = [], []
-        best = -np.inf
-        for idx in order:
-            if rewards[idx] > best:
-                keep_r.append(rewards[idx])
-                keep_w.append(weights[idx])
-                best = rewards[idx]
-        self.rewards = np.array(keep_r)
-        self.weights = np.array(keep_w, np.int64)
+        keep = pwt_dp.staircase(rewards, weights)
+        self.rewards = rewards[keep]
+        self.weights = weights[keep]
 
     def hv(self):
         return fr._hv(self.rewards, self.weights, self.capacity)
@@ -291,16 +284,16 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     records = []
     gen = 0
     while True:
-        compute_indicators(pop, cfg.indicator)
         if len(pop) > cfg.mu:
+            compute_indicators(pop, cfg.indicator)
             pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator,
                                   recompute=cfg.recompute_on_removal)
+        surf = compute_indicators(pop, cfg.indicator)
         if cfg.debug_check_cache and gen % 10 == 0:
             ind = pop[int(rng_tie.integers(0, len(pop)))]
             fresh = pwt_dp.dp_front(inst, ind.tour)
             if not cfg.both_orientations and not np.array_equal(fresh.weights, ind.front.weights):
                 raise AssertionError("DP front cache incoherent")
-        surf = fr.surface([ind.front for ind in pop])
         rec = RunRecord(
             generation=gen,
             surface_points=list(zip(surf.rewards.tolist(), surf.weights.tolist())),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pwt_dp import DpFront, REWARD_EQ_ATOL
+from .pwt_dp import DpFront, REWARD_EQ_ATOL, staircase
 
 LSC = "lsc"
 LHV = "lhv"
@@ -28,14 +28,8 @@ def pareto_filter(pts):
         return []
     rewards = np.array([p[0] for p in pts], np.float64)
     weights = np.array([p[1] for p in pts])
-    order = np.lexsort((np.arange(len(pts)), -rewards, weights))
-    out = []
-    best = -np.inf
-    for idx in order:
-        if rewards[idx] > best:
-            out.append((float(rewards[idx]), weights[idx].item()))
-            best = rewards[idx]
-    return out
+    keep = staircase(rewards, weights)
+    return list(zip(rewards[keep].tolist(), weights[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,31 +61,26 @@ class Surface:
 
 
 def surface(fronts) -> Surface:
-    """Surface of the union of the given DP fronts."""
+    """Surface of the union of the given DP fronts.
+
+    Every front must be a strict staircase (as ``DpFront`` guarantees), so a
+    surface point matches at most one point of each front: the one with the
+    same weight.
+    """
     fronts = tuple(fronts)
     if not fronts:
         raise ValueError("surface needs at least one front")
     capacity = fronts[0].capacity
     rewards = np.concatenate([f.rewards for f in fronts])
     weights = np.concatenate([f.weights for f in fronts]).astype(np.int64)
-    order = np.lexsort((np.arange(rewards.size), -rewards, weights))
-    keep_r, keep_w = [], []
-    best = -np.inf
-    for idx in order:
-        if rewards[idx] > best:
-            keep_r.append(rewards[idx])
-            keep_w.append(weights[idx])
-            best = rewards[idx]
-    surf_r = np.array(keep_r)
-    surf_w = np.array(keep_w, np.int64)
+    keep = staircase(rewards, weights)
+    surf_r, surf_w = rewards[keep], weights[keep]
 
+    owner = np.repeat(np.arange(len(fronts)), [f.rewards.size for f in fronts])
+    at = np.minimum(np.searchsorted(surf_w, weights), surf_w.size - 1)
+    hit = (surf_w[at] == weights) & (np.abs(rewards - surf_r[at]) <= REWARD_EQ_ATOL)
     membership = np.zeros((len(fronts), surf_r.size), bool)
-    for fi, f in enumerate(fronts):
-        at = np.searchsorted(f.weights, surf_w)
-        ok = at < f.weights.size
-        ok[ok] &= f.weights[at[ok]] == surf_w[ok]
-        ok[ok] &= np.abs(f.rewards[at[ok]] - surf_r[ok]) <= REWARD_EQ_ATOL
-        membership[fi] = ok
+    membership[owner[hit], at[hit]] = True
     return Surface(rewards=surf_r, weights=surf_w, membership=membership,
                    fronts=fronts, capacity=capacity)
 
@@ -140,33 +129,22 @@ def indicator(s: Surface, f, kind: str) -> float:
     front are removed; shared points survive the removal.  A zero-volume
     surface falls back to LSC so the result stays in [0, 1].
     """
-    if kind not in INDICATOR_KINDS:
-        raise ValueError(f"unknown indicator kind: {kind}")
-    fi = _front_index(s, f)
-    member = s.membership[fi]
-    if kind == LSC:
-        return float(member.sum() / s.rewards.size)
-    total = _hv(s.rewards, s.weights, s.capacity)
-    if total == 0.0:
-        return float(member.sum() / s.rewards.size)
-    exclusive = member & (s.membership.sum(axis=0) == 1)
-    rest = ~exclusive
-    return float(1.0 - _hv(s.rewards[rest], s.weights[rest], s.capacity) / total)
+    return float(all_indicators(s, kind)[_front_index(s, f)])
 
 
 def all_indicators(s: Surface, kind: str) -> np.ndarray:
-    """Indicator values for every member front in one pass."""
+    """Indicator values (see :func:`indicator`) for every member front."""
     if kind not in INDICATOR_KINDS:
         raise ValueError(f"unknown indicator kind: {kind}")
-    counts = s.membership.sum(axis=0)
     if kind == LSC:
         return s.membership.sum(axis=1) / s.rewards.size
     total = _hv(s.rewards, s.weights, s.capacity)
     if total == 0.0:
         return s.membership.sum(axis=1) / s.rewards.size
-    out = np.empty(len(s.fronts))
-    sole = counts == 1
-    for fi in range(len(s.fronts)):
-        rest = ~(s.membership[fi] & sole)
+    # a front that owns no surface point alone loses nothing on removal
+    exclusive = s.membership & (s.membership.sum(axis=0) == 1)
+    out = np.zeros(len(s.fronts))
+    for fi in np.flatnonzero(exclusive.any(axis=1)):
+        rest = ~exclusive[fi]
         out[fi] = 1.0 - _hv(s.rewards[rest], s.weights[rest], s.capacity) / total
     return out

@@ -123,6 +123,10 @@ def parse_instance(text: str) -> Instance:
     rent = float(header["RENTING RATIO"])
     if capacity < 0:
         raise InstanceFormatError("negative knapsack capacity")
+    if not vmax > vmin > 0:
+        raise InstanceFormatError(
+            f"speed range degenerate: MIN SPEED {vmin}, MAX SPEED {vmax} "
+            "(need MAX SPEED > MIN SPEED > 0)")
 
     body = lines[idx:]
     if not body or not body[0].startswith("NODE_COORD_SECTION"):

@@ -63,6 +63,21 @@ class DpFront:
         })
 
 
+def staircase(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Indices of the Pareto staircase of (reward, weight) points.
+
+    The kept points are ordered by weight ascending with strictly increasing
+    rewards; a point survives only if it beats every lighter (or equally
+    heavy, better-ranked) point.  Among points equal in both coordinates the
+    earliest index wins.  Rewards must not be NaN.
+    """
+    order = np.lexsort((np.arange(rewards.size), -rewards, weights))
+    b = rewards[order]
+    keep = np.ones(b.size, bool)
+    keep[1:] = b[1:] > np.maximum.accumulate(b[:-1])
+    return order[keep]
+
+
 def _pack_plans(plans: np.ndarray) -> np.ndarray:
     if plans.shape[1] == 0:
         return np.zeros((plans.shape[0], 0), np.uint8)
@@ -198,16 +213,8 @@ def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
     times = (legs[None, :] / (inst.vmax - inst.nu * onboard)).sum(axis=1)
     rewards = (packs @ inst.item_profit if m else np.zeros(1)) - inst.rent * times
 
-    # Pareto filter: weight ascending, reward strictly increasing; on ties
-    # the earliest-enumerated packing wins
-    order = np.lexsort((np.arange(rewards.size), -rewards, weights))
-    keep = []
-    best = -np.inf
-    for idx in order:
-        if rewards[idx] > best:
-            keep.append(idx)
-            best = rewards[idx]
-    keep = np.array(keep)
+    # on ties the earliest-enumerated packing wins
+    keep = staircase(rewards, weights)
     return DpFront(tour=t.copy(), rewards=rewards[keep], weights=weights[keep],
                    plans_packed=_pack_plans(packs[keep]), m=m, capacity=inst.capacity)
 
@@ -222,13 +229,6 @@ def merge_fronts(a: DpFront, b: DpFront) -> DpFront:
     rewards = np.concatenate((a.rewards, b.rewards))
     weights = np.concatenate((a.weights, b.weights))
     plans = np.concatenate((a.plans, b.plans)) if a.m else np.zeros((rewards.size, 0), bool)
-    order = np.lexsort((np.arange(rewards.size), -rewards, weights))
-    keep = []
-    best = -np.inf
-    for idx in order:
-        if rewards[idx] > best:
-            keep.append(idx)
-            best = rewards[idx]
-    keep = np.array(keep)
+    keep = staircase(rewards, weights)
     return DpFront(tour=a.tour.copy(), rewards=rewards[keep], weights=weights[keep],
                    plans_packed=_pack_plans(plans[keep]), m=a.m, capacity=a.capacity)

@@ -242,3 +242,15 @@ def test_cli_config_file(tiny4_file, tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["label"] == "uar-lsc"
+
+
+def test_cli_summarize_empty_record_file(tmp_path, capsys):
+    run_dir = tmp_path / "empty"
+    run_dir.mkdir()
+    (run_dir / "summary.json").write_text(json.dumps({"label": "L", "instance": "tiny4"}))
+    (run_dir / "rep_000.jsonl").write_text("")
+    rc = main(["summarize", "--records", str(run_dir), "--baseline", "L"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "rep_000.jsonl" in err[0]

@@ -1,0 +1,91 @@
+"""The vectorised front algebra equals the loop-based reference bit for bit."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ttpsolve import evolve, fronts
+from ttpsolve.pwt_dp import REWARD_EQ_ATOL, DpFront
+
+import reference_fronts as ref
+
+# reward offsets of a point from its weight's shared ladder value: equal,
+# within, at and just beyond the cross-front tolerance, and clearly apart
+JITTER = (0.0, 0.0, 0.0, 0.5 * REWARD_EQ_ATOL, REWARD_EQ_ATOL, -REWARD_EQ_ATOL,
+          1.5 * REWARD_EQ_ATOL, -3.0, 2.5)
+
+
+def make_front(rewards, weights, capacity):
+    n = len(rewards)
+    return DpFront(tour=np.array([1]), rewards=np.asarray(rewards, np.float64),
+                   weights=np.asarray(weights, np.int64),
+                   plans_packed=np.zeros((n, 0), np.uint8), m=0, capacity=capacity)
+
+
+@st.composite
+def populations(draw):
+    """Strict-staircase fronts that share, nearly share and dominate points.
+
+    Fronts draw their rewards from one ladder over the weights, so equal
+    weights give equal or near-equal rewards; a per-front offset lets one
+    front dominate another.  Some fronts are repeated (as the same object
+    or as a copy), and some populations are shifted to all rewards <= 0.
+    """
+    capacity = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.integers(1, 5), min_size=capacity + 1, max_size=capacity + 1))
+    # with no shift the ladder starts at exactly 0.0, where a jitter of
+    # REWARD_EQ_ATOL lands exactly on the tolerance
+    ladder = (np.cumsum(steps) - steps[0]) * 10.0 + draw(st.sampled_from([0.0, -35.5, 3.25]))
+    pop = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = sorted(draw(st.sets(st.integers(0, capacity), min_size=1)))
+        offset = draw(st.sampled_from([0.0, 0.0, -15.0, 15.0]))
+        rewards = [ladder[w] + offset + draw(st.sampled_from(JITTER)) for w in weights]
+        pop.append(make_front(rewards, weights, capacity))
+    for i in draw(st.lists(st.integers(0, len(pop) - 1), max_size=3)):
+        f = pop[i]
+        pop.append(f if draw(st.booleans()) else
+                   make_front(f.rewards.copy(), f.weights.copy(), capacity))
+    if draw(st.booleans()):
+        top = max(f.rewards.max() for f in pop)
+        pop = [make_front(f.rewards - top, f.weights, capacity) for f in pop]
+    return draw(st.permutations(pop))
+
+
+SINGLE = [make_front([-4.0, 2.0, 7.5], [0, 3, 5], 6)]
+# the two weight-0 rewards differ by exactly REWARD_EQ_ATOL, so they are shared
+AT_TOLERANCE = [make_front([0.0, 5.0], [0, 2], 4),
+                make_front([REWARD_EQ_ATOL, 6.0], [0, 3], 4)]
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(populations())
+@example(SINGLE)
+@example(AT_TOLERANCE)
+def test_surface_and_indicators_match_reference(pop):
+    got, want = fronts.surface(pop), ref.surface(pop)
+    assert_same_array(got.rewards, want.rewards)
+    assert_same_array(got.weights, want.weights)
+    assert_same_array(got.membership, want.membership)
+    for kind in fronts.INDICATOR_KINDS:
+        expect = ref.all_indicators(want, kind)
+        values = fronts.all_indicators(got, kind)
+        assert values.dtype == expect.dtype
+        assert values.tolist() == expect.tolist()
+        assert [fronts.indicator(got, i, kind) for i in range(len(pop))] == expect.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(populations())
+def test_archive_matches_reference(pop):
+    archive, want = evolve._Archive(pop[0].capacity), ref.ReferenceArchive()
+    for f in pop:
+        archive.add(f)
+        want.add(f)
+        assert_same_array(archive.rewards, want.rewards)
+        assert_same_array(archive.weights, want.weights)

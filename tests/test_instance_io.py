@@ -116,3 +116,12 @@ def test_on_demand_distances_match_matrix():
                 assert distance(with_matrix, i, j) == distance(without, i, j)
     finally:
         iio.MATRIX_THRESHOLD = old
+
+
+@pytest.mark.parametrize("vmin, vmax", [("2.0", "1.0"), ("1.0", "1.0"),
+                                        ("0", "1.0"), ("-0.1", "1.0")])
+def test_parse_rejects_degenerate_speed_range(vmin, vmax):
+    text = TINY4_TEXT.replace("MIN SPEED: 0.1", f"MIN SPEED: {vmin}") \
+                     .replace("MAX SPEED: 1.0", f"MAX SPEED: {vmax}")
+    with pytest.raises(InstanceFormatError, match="speed range degenerate"):
+        parse_instance(text)

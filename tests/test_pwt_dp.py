@@ -5,8 +5,8 @@ import pytest
 
 from ttpsolve.instance_io import Item, make_instance
 from ttpsolve.pwt_dp import (
-    _dp_columns, best_reward, brute_force_front, dp_front, evaluate,
-    merge_fronts,
+    DpFront, _dp_columns, _pack_plans, best_reward, brute_force_front, dp_front,
+    evaluate, merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour
 
@@ -170,3 +170,21 @@ def test_determinism(tiny4):
     assert np.array_equal(f.rewards, g.rewards)
     assert np.array_equal(f.weights, g.weights)
     assert np.array_equal(f.plans_packed, g.plans_packed)
+
+
+def test_staircase_ties_earliest_wins():
+    rewards = np.array([3.0, 5.0, 3.0, 1.0, 5.0, 4.0, 2.0])
+    weights = np.array([2, 4, 2, 0, 4, 5, 2])
+    # (3, 2) sits at 0 and 2, (5, 4) at 1 and 4; (4, 5) and (2, 2) are dominated
+    assert staircase(rewards, weights).tolist() == [3, 0, 1]
+    assert staircase(np.zeros(0), np.zeros(0, np.int64)).tolist() == []
+
+
+def test_merge_fronts_tie_keeps_first_plan():
+    def front(plan):
+        return DpFront(tour=make_tour(FWD), rewards=np.array([6.5]),
+                       weights=np.array([3], np.int64),
+                       plans_packed=_pack_plans(np.array([plan], bool)), m=2, capacity=5)
+    a, b = front([True, False]), front([False, True])
+    assert merge_fronts(a, b).plans.tolist() == [[True, False]]
+    assert merge_fronts(b, a).plans.tolist() == [[False, True]]
