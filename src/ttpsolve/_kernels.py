@@ -1,10 +1,10 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
 Set ``TTPSOLVE_NO_NUMBA=1`` to force the fallback path (useful for
-debugging and for the kernel benchmark).  Both paths produce identical
-results for the DP merge; the Inver-over loops are stream-compatible only
-within one backend because numba's np.random is a separate Mersenne
-Twister instance.
+debugging).  Both paths produce identical results for the DP merge; the
+Inver-over loops are stream-compatible only within one backend because
+numba's np.random is a separate Mersenne Twister instance.  The segment-wise
+DP merge, which serves a whole batch of tours, is numpy only.
 """
 
 import os
@@ -112,6 +112,57 @@ def _dp_merge_loop(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
 
 dp_merge_jit = _dp_merge_loop if NUMBA_ENABLED else None
 dp_merge = dp_merge_jit if NUMBA_ENABLED else dp_merge_py
+
+
+def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu, cap):
+    """``dp_merge_py`` applied to many columns at once, one item per column.
+
+    The columns lie flat in ``old_w``/``old_b``, grouped by the
+    non-decreasing segment id ``seg``; segment ``s`` takes the item
+    ``(item_w[s], item_p[s], rdist[s])``.  Every segment's result equals
+    ``dp_merge_py`` on that column bit for bit: the take rewards use the
+    same expression in the same operand order, and the sort and pruning are
+    the same within each segment.  Returns the flat successor columns
+    ``(w, b, seg, took, prev)``; ``prev`` indexes the flat predecessor.
+    Rewards must be finite.  Numpy only: there is no numba twin.
+    """
+    n_old = old_w.size
+    src = np.flatnonzero(old_w + item_w[seg] <= cap)
+    t_seg = seg[src]
+    tw = old_w[src] + item_w[t_seg]
+    tb = old_b[src] + item_p[t_seg] - rdist[t_seg] * (
+        1.0 / (vmax - nu * tw) - 1.0 / (vmax - nu * old_w[src]))
+
+    w_all = np.concatenate((old_w, tw))
+    b_all = np.concatenate((old_b, tb))
+    s_all = np.concatenate((seg, t_seg))
+    took = np.zeros(w_all.size, np.uint8)
+    took[n_old:] = 1
+    prev = np.concatenate((np.arange(n_old), src))
+
+    # per segment: weight ascending, best reward first, keep side first on
+    # full ties, as in dp_merge_py.  Weights never exceed cap, so the key
+    # keeps segments apart; within a segment both sides have strictly
+    # increasing weights, so a key is shared by at most one keep/take pair,
+    # which the stable sort puts keep first and a better take then swaps.
+    key = s_all * (cap + 1) + w_all
+    order = np.argsort(key, kind="stable")
+    k_sorted = key[order]
+    b_sorted = b_all[order]
+    swap = np.flatnonzero((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1]))
+    order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    s_sorted = s_all[order]
+    b_sorted = b_all[order]
+    # running max within each segment over a padded (segment x width) grid
+    # whose column 0 is -inf, so runmax at cell pos is the best reward before pos
+    counts = np.bincount(s_sorted, minlength=n_seg)
+    width = int(counts.max()) + 1
+    cell = s_sorted * width + np.arange(s_sorted.size) - (np.cumsum(counts) - counts)[s_sorted]
+    grid = np.full(n_seg * width, -np.inf)
+    grid[cell + 1] = b_sorted
+    runmax = np.maximum.accumulate(grid.reshape(n_seg, width), axis=1).ravel()
+    sel = order[b_sorted > runmax[cell]]
+    return w_all[sel], b_all[sel], s_all[sel], took[sel], prev[sel]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 statistics, log-p aggregation, plot-data emission, and the command line.
 
 Subcommands: ``run``, ``summarize``, ``plotdata``, ``dpfront``,
-``seed-tours``, ``bench-kernels``.  Record files are JSON lines (one
+``seed-tours``.  Record files are JSON lines (one
 generation record per line); summaries are single JSON documents.  The
 ``TTPSOLVE_WORKERS`` env var sets the number of concurrent repetition
 workers for ``run``.
@@ -10,6 +10,7 @@ workers for ``run``.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -185,7 +186,17 @@ def _config_from_args(args):
     fields = {}
     if args.config:
         with open(args.config) as fh:
-            fields.update(yaml.safe_load(fh) or {})
+            try:
+                loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{args.config}: not valid YAML: {' '.join(str(exc).split())}")
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: config must be a mapping of field: value")
+        known = {f.name for f in dataclasses.fields(IbeaConfig)} | {"reps"}
+        unknown = sorted(str(k) for k in loaded if k not in known)
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+        fields.update(loaded)
     for key in ("mu", "generations", "lam", "indicator", "selection",
                 "crossover_prob", "mutation_split", "tournament_size", "seed",
                 "both_orientations", "seeding_generations", "dp_cache_size"):
@@ -278,6 +289,8 @@ def cli_plotdata(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "fronts":
+        if args.instance is None or args.tours is None:
+            raise ValueError("plotdata --mode fronts needs --instance and --tours")
         with open(args.instance) as fh:
             inst = parse_instance(fh.read())
         with open(args.tours) as fh:
@@ -330,12 +343,6 @@ def cli_seed_tours(args):
     else:
         print(out)
     print(f"best length: {min(payload['lengths'])}", file=sys.stderr)
-    return 0
-
-
-def cli_bench_kernels(args):
-    from .kernel_bench import run_benchmark
-    run_benchmark(repeats=args.repeats)
     return 0
 
 
@@ -400,10 +407,6 @@ def build_parser():
     seed.add_argument("--seed", type=int, default=0)
     seed.add_argument("--out")
     seed.set_defaults(func=cli_seed_tours)
-
-    bench = sub.add_parser("bench-kernels", help="numba vs numpy kernel benchmark")
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.set_defaults(func=cli_bench_kernels)
     return p
 
 

@@ -93,7 +93,11 @@ class RunResult:
 
 
 class _FrontCache:
-    """Bounded LRU of DP fronts keyed by the exact tour."""
+    """Bounded LRU of DP fronts keyed by the exact tour.
+
+    ``fill`` computes the fronts of a whole generation in one batched DP;
+    ``get`` then finds them, and computes a front itself only on a miss.
+    """
 
     def __init__(self, inst, maxsize, both_orientations):
         self.inst = inst
@@ -107,13 +111,45 @@ class _FrontCache:
         if hit is not None:
             self.data.move_to_end(key)
             return hit
-        front = pwt_dp.dp_front(self.inst, tour)
+        front = _fresh_front(self.inst, tour, self.both)
+        self._store(key, front)
+        return front
+
+    def fill(self, tour_list):
+        """Compute the fronts of every tour not cached, in one DP batch."""
+        misses = {}
+        for t in tour_list:
+            key = t.tobytes()
+            if key not in self.data:
+                misses.setdefault(key, t)
+        batch = list(misses.values())
         if self.both:
-            front = pwt_dp.merge_fronts(front, pwt_dp.dp_front(self.inst, tours.reverse_tour(tour)))
+            batch += [tours.reverse_tour(t) for t in batch]
+        found = pwt_dp.dp_fronts(self.inst, batch)
+        if self.both:
+            half = len(found) // 2
+            found = [pwt_dp.merge_fronts(a, b) for a, b in zip(found[:half], found[half:])]
+        for key, front in zip(misses, found):
+            self._store(key, front)
+
+    def _store(self, key, front):
         self.data[key] = front
         if len(self.data) > self.maxsize:
             self.data.popitem(last=False)
-        return front
+
+
+def _fresh_front(inst, tour, both_orientations):
+    """The DP front of one tour, merged with its reversal's if asked."""
+    front = pwt_dp.dp_front(inst, tour)
+    if both_orientations:
+        front = pwt_dp.merge_fronts(front, pwt_dp.dp_front(inst, tours.reverse_tour(tour)))
+    return front
+
+
+def _same_front(a, b):
+    return (a.rewards.tobytes() == b.rewards.tobytes()
+            and np.array_equal(a.weights, b.weights)
+            and np.array_equal(a.plans_packed, b.plans_packed))
 
 
 def compute_indicators(pop, kind):
@@ -276,6 +312,7 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     seed_tours = tours.inver_over(inst, cfg.mu, cfg.seeding_generations,
                                   cfg.seeding_p_random, rng_seed)
     pop = []
+    cache.fill(seed_tours)
     for t in seed_tours:
         front = cache.get(t)
         archive.add(front)
@@ -290,9 +327,9 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
                                   recompute=cfg.recompute_on_removal)
         surf = compute_indicators(pop, cfg.indicator)
         if cfg.debug_check_cache and gen % 10 == 0:
-            ind = pop[int(rng_tie.integers(0, len(pop)))]
-            fresh = pwt_dp.dp_front(inst, ind.tour)
-            if not cfg.both_orientations and not np.array_equal(fresh.weights, ind.front.weights):
+            # draws no random numbers, so the check leaves the run unchanged
+            ind = pop[(gen // 10) % len(pop)]
+            if not _same_front(ind.front, _fresh_front(inst, ind.tour, cfg.both_orientations)):
                 raise AssertionError("DP front cache incoherent")
         rec = RunRecord(
             generation=gen,
@@ -309,7 +346,9 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
             break
         gen += 1
         parents = parent_select(pop, cfg.selection, cfg.lam, rng_sel, cfg.tournament_size)
-        for child in mate(parents, cfg, rng_mate):
+        children = mate(parents, cfg, rng_mate)
+        cache.fill(children)
+        for child in children:
             front = cache.get(child)
             archive.add(front)
             pop.append(Individual(tour=child, front=front))

@@ -185,6 +185,56 @@ def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
                    plans_packed=_pack_plans(plans), m=inst.m, capacity=inst.capacity)
 
 
+def dp_fronts(inst: Instance, tours) -> list:
+    """``[dp_front(inst, t) for t in tours]``, computed as one batched DP.
+
+    All tours advance together: item rank ``j`` is one segment-wise merge
+    over the flat concatenation of every tour's column, where each tour
+    takes its own ``j``-th item in tour order.  The fronts are bit-identical
+    to :func:`dp_front`'s (rewards, weights and packed plans).  This pays
+    off for many narrow columns; :func:`dp_front` stays the path for one
+    wide tour.
+    """
+    n_seg = len(tours)
+    if n_seg == 0:
+        return []
+    orders = np.array([_item_order(inst, t) for t in tours], np.int64).reshape(n_seg, inst.m)
+    rd_rows = np.empty((n_seg, inst.m))
+    for s, t in enumerate(tours):
+        pos_of_city = np.empty(inst.n + 1, np.int64)
+        pos_of_city[t] = np.arange(inst.n)
+        rd_rows[s] = _suffix_rdist(inst, t)[pos_of_city[inst.item_node[orders[s]]]]
+    item_w = inst.item_weight[orders]
+    item_p = inst.item_profit[orders].astype(np.float64)
+
+    seg = np.arange(n_seg)
+    w = np.zeros(n_seg, np.int64)
+    b = np.array([-inst.rent * tour_length(inst, t) / inst.vmax for t in tours], np.float64)
+    links = []
+    for j in range(inst.m):
+        w, b, seg, took, prev = _kernels.dp_merge_segments(
+            w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j],
+            inst.vmax, inst.nu, inst.capacity)
+        links.append((took, prev))
+
+    # back-walk every final cell at once, collecting flags by item rank
+    by_rank = np.zeros((w.size, inst.m), bool)
+    cur = np.arange(w.size)
+    for j in range(inst.m - 1, -1, -1):
+        took, prev = links[j]
+        by_rank[:, j] = took[cur]
+        cur = prev[cur]
+    plans = np.zeros_like(by_rank)
+    plans[np.arange(w.size)[:, None], orders[seg]] = by_rank
+    packed = _pack_plans(plans)
+
+    cuts = np.cumsum(np.bincount(seg, minlength=n_seg))[:-1]
+    return [DpFront(tour=t.copy(), rewards=rs.copy(), weights=ws.copy(), plans_packed=ps.copy(),
+                    m=inst.m, capacity=inst.capacity)
+            for t, rs, ws, ps in zip(tours, np.split(b, cuts), np.split(w, cuts),
+                                     np.split(packed, cuts))]
+
+
 def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
     """Enumerate all packings, Pareto-filter the feasible ones.
 

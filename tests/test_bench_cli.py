@@ -254,3 +254,32 @@ def test_cli_summarize_empty_record_file(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "rep_000.jsonl" in err[0]
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("mu: 4\nmu_typo: 5\n1: 2\n", "unknown config key(s): 1, mu_typo"),
+    ("- mu\n- 4\n", "mapping"),
+    ("mu: [4\n", "not valid YAML"),
+])
+def test_cli_run_bad_config_one_error_line(tiny4_file, tmp_path, capsys, text, needle):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    rc = main(["run", "--config", str(cfg), "--instance", str(tiny4_file),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and needle in err[0]
+
+
+@pytest.mark.parametrize("missing", ["--instance", "--tours"])
+def test_cli_plotdata_fronts_needs_inputs(tiny4_file, tmp_path, capsys, missing):
+    tours_file = tmp_path / "tours.json"
+    tours_file.write_text(json.dumps([[1, 2, 3, 4]]))
+    given = {"--instance": str(tiny4_file), "--tours": str(tours_file)}
+    del given[missing]
+    rc = main(["plotdata", "--mode", "fronts", *[x for kv in given.items() for x in kv],
+               "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import INSTANCES
+
 from ttpsolve.evolve import (
     IbeaConfig, Individual, compute_indicators, mate, parent_select, run_ibea,
     selection_probabilities, survivor_select,
 )
+from ttpsolve.instance_io import parse_instance
 from ttpsolve.pwt_dp import dp_front
 from ttpsolve.tours import is_valid_tour, make_tour
 
@@ -176,6 +179,25 @@ def test_archive_monotone_and_population_size(tiny4):
     assert len(res.final_population) == 4
 
 
+def _run_view(res):
+    records = [(r.generation, r.surface_points, r.population_hv, r.best_reward, r.archive_hv)
+               for r in res.records]
+    pop = [(ind.tour.tolist(), ind.value, ind.front.rewards.tobytes()) for ind in res.final_population]
+    return records, res.best_tour.tolist(), res.best_plan, pop
+
+
+@pytest.mark.parametrize("indicator", ["lhv", "lsc"])
+@pytest.mark.parametrize("both", [False, True])
+def test_debug_check_cache_leaves_run_unchanged(tiny4, indicator, both):
+    eil51 = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    for inst, seed in ((tiny4, 3), (eil51, 1)):
+        runs = [run_ibea(inst, IbeaConfig(mu=6, generations=21, seed=seed, seeding_generations=20,
+                                          indicator=indicator, both_orientations=both,
+                                          debug_check_cache=check))
+                for check in (False, True)]
+        assert _run_view(runs[0]) == _run_view(runs[1])
+
+
 def test_callback_stops_early(tiny4):
     cfg = IbeaConfig(mu=4, generations=100, seed=2, seeding_generations=10)
     res = run_ibea(tiny4, cfg, callback=lambda rec: rec.generation < 5)
@@ -199,3 +221,21 @@ def test_config_validation():
         IbeaConfig(indicator="nope")
     with pytest.raises(ValueError):
         IbeaConfig(selection="nope")
+
+
+# Frozen (best_reward, population_hv, archive_hv) of short seeded eil51 runs.
+# A change that is meant to keep run_ibea's behaviour must keep these bits;
+# one that changes it on purpose re-freezes them here and says why.
+GOLDEN_EIL51 = {
+    False: (473.93757298673364, 410521.1942520221, 410521.1942520221),
+    True: (617.3348490388231, 468167.3068409893, 468167.3068409893),
+}
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_run_ibea_golden_fingerprint_eil51(both):
+    inst = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    cfg = IbeaConfig(mu=20, lam=20, generations=5, seeding_generations=200,
+                     seed=7, both_orientations=both)
+    last = run_ibea(inst, cfg).records[-1]
+    assert (last.best_reward, last.population_hv, last.archive_hv) == GOLDEN_EIL51[both]

@@ -46,3 +46,39 @@ def test_dp_merge_vectorised_equals_loop(args):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+@st.composite
+def segment_inputs(draw):
+    """Several ``merge_inputs`` columns under one capacity and speed law.
+
+    The shared capacity and ``nu`` come from one drawn column, so that
+    column keeps its items-at-capacity case; the columns heavier than the
+    shared capacity are dropped, since DP columns never exceed it.
+    """
+    cols = draw(st.lists(merge_inputs(), min_size=1, max_size=6))
+    lead = cols[draw(st.integers(0, len(cols) - 1))]
+    vmax, nu, cap = lead[5], lead[6], lead[7]
+    cols = [c for c in cols if c[0][-1] <= cap]
+    return cols, vmax, nu, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_inputs())
+def test_dp_merge_segments_equals_per_column(args):
+    cols, vmax, nu, cap = args
+    n_seg = len(cols)
+    got_w, got_b, got_s, got_t, got_p = _kernels.dp_merge_segments(
+        np.concatenate([c[0] for c in cols]), np.concatenate([c[1] for c in cols]),
+        np.repeat(np.arange(n_seg), [c[0].size for c in cols]), n_seg,
+        np.array([c[2] for c in cols], np.int64), np.array([c[3] for c in cols]),
+        np.array([c[4] for c in cols]), vmax, nu, cap)
+    assert np.all(np.diff(got_s) >= 0)
+    offset = 0
+    for s, (old_w, old_b, item_w, item_p, rdist, *_) in enumerate(cols):
+        want = _kernels.dp_merge_py(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)
+        mine = got_s == s
+        for g, w in zip((got_w[mine], got_b[mine], got_t[mine], got_p[mine] - offset), want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        offset += old_w.size

@@ -2,15 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttpsolve.instance_io import Item, make_instance
+from ttpsolve.instance_io import Item, make_instance, parse_instance
 from ttpsolve.pwt_dp import (
     DpFront, _dp_columns, _pack_plans, best_reward, brute_force_front, dp_front,
-    evaluate, merge_fronts, staircase,
+    dp_fronts, evaluate, merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour
 
-from conftest import random_instance, random_tour
+from conftest import INSTANCES, random_instance, random_tour
 
 FWD = [1, 2, 3, 4]
 REV = [1, 4, 3, 2]
@@ -71,6 +73,7 @@ def test_no_items():
     inst = make_instance("bare", [(0, 0), (0, 3), (4, 3), (4, 0)], [], 10, 0.1, 1.0, 2.0)
     f = dp_front(inst, make_tour(FWD))
     assert f.points == [(-28.0, 0)]
+    assert_same_front(dp_fronts(inst, [make_tour(FWD)] * 2)[1], f)
     assert brute_force_front(inst, make_tour(FWD)).points == [(-28.0, 0)]
     assert best_reward(f) == -28.0
 
@@ -188,3 +191,77 @@ def test_merge_fronts_tie_keeps_first_plan():
     a, b = front([True, False]), front([False, True])
     assert merge_fronts(a, b).plans.tolist() == [[True, False]]
     assert merge_fronts(b, a).plans.tolist() == [[False, True]]
+
+
+@st.composite
+def batch_inputs(draw):
+    """A small instance plus a batch of its tours.
+
+    Coordinates on a 3x3 grid make coincident cities (zero legs) likely,
+    and a zero rent makes rewards plain profit sums, so reward ties are
+    common; capacity is often exactly the weight of a subset of items.
+    Batches may repeat a tour, and their columns differ in width.
+    """
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 9))
+    coords = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           min_size=n, max_size=n))
+    items = [Item(draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(2, n)))
+             for _ in range(m)]
+    if m and draw(st.booleans()):
+        subset = draw(st.lists(st.sampled_from(items), min_size=1, unique_by=id))
+        cap = sum(it.weight for it in subset)
+    else:
+        cap = draw(st.integers(0, 25))
+    inst = make_instance("batch", coords, items, cap, draw(st.sampled_from([0.1, 0.3])),
+                         1.0, draw(st.sampled_from([0.0, 1.0, 2.5])))
+    pool = draw(st.lists(st.permutations(range(2, n + 1)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return inst, [make_tour([1, *pool[i]]) for i in picks]
+
+
+def assert_same_front(got, want):
+    assert got.tour.tolist() == want.tour.tolist()
+    for g, w in ((got.rewards, want.rewards), (got.weights, want.weights),
+                 (got.plans_packed, want.plans_packed)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert (got.m, got.capacity) == (want.m, want.capacity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_inputs())
+def test_dp_fronts_equals_dp_front(args):
+    inst, tours_ = args
+    got = dp_fronts(inst, tours_)
+    assert len(got) == len(tours_)
+    for t, f in zip(tours_, got):
+        assert_same_front(f, dp_front(inst, t))
+    # a batch of one gives the same front as the batch it came from
+    assert_same_front(dp_fronts(inst, tours_[-1:])[0], got[-1])
+
+
+def test_dp_fronts_empty_batch(tiny4):
+    assert dp_fronts(tiny4, []) == []
+
+
+def test_dp_fronts_eil51_mixed_widths():
+    inst = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    rng = np.random.default_rng(51)
+    tours_ = [random_tour(rng, inst.n) for _ in range(12)]
+    tours_ += tours_[:3]
+    got = dp_fronts(inst, tours_)
+    assert len({f.rewards.size for f in got}) > 1
+    for t, f in zip(tours_, got):
+        assert_same_front(f, dp_front(inst, t))
+
+
+def test_dp_fronts_matches_oracle():
+    rng = np.random.default_rng(4242)
+    for _ in range(100):
+        inst = random_instance(rng)
+        tours_ = [random_tour(rng, inst.n) for _ in range(int(rng.integers(1, 5)))]
+        for t, f in zip(tours_, dp_fronts(inst, tours_)):
+            g = brute_force_front(inst, t)
+            assert np.array_equal(f.weights, g.weights)
+            np.testing.assert_allclose(f.rewards, g.rewards, rtol=1e-9, atol=1e-12)
