@@ -1,10 +1,14 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels with a numba fast path and a pure-python fallback.
 
 Set ``TTPSOLVE_NO_NUMBA=1`` to force the fallback path (useful for
-debugging).  Both paths produce identical results for the DP merge; the
-Inver-over loops are stream-compatible only within one backend because
-numba's np.random is a separate Mersenne Twister instance.  The segment-wise
-DP merge, which serves a whole batch of tours, is numpy only.
+debugging).  Both paths produce identical results for the DP merge.  The
+Inver-over loops are stream-compatible only within one backend, because
+numba's np.random is a separate Mersenne Twister instance: the jitted loop
+seeds that one, while the fallback replays ``numpy.random.RandomState(seed)``
+from raw 32-bit words drawn in bulk, applying RandomState's own masked
+rejection for ``randint`` and its two-word formula for ``random_sample`` (the
+legacy stream is frozen, so the replay is exact).  The segment-wise DP merge,
+which serves a whole batch of tours, is numpy only.
 """
 
 import os
@@ -232,57 +236,118 @@ def _inver_over_loop(pop, dist, generations, p_random, seed):
     return lengths
 
 
+class _RandomStateReplay:
+    """Replays ``numpy.random.RandomState(seed)`` draws from raw MT19937 words.
+
+    Legacy ``RandomState`` promises a frozen stream.  ``randint(r)`` (for
+    ``r - 1 < 2**32``) takes one 32-bit word per try and accepts its low
+    bits ``w & mask`` once they are at most ``r - 1``, where ``mask`` is the
+    smallest all-ones mask covering ``r - 1``; ``r == 1`` draws no word.
+    ``random_sample()`` takes two words and returns
+    ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``.  ``randint(0, 2**32,
+    dtype=uint32)`` hands out those same words one per value, so drawing
+    them in chunks and replaying both rules on Python ints gives every
+    value, and consumes every word, exactly as the per-call methods would.
+    A chunk's unused words carry over to the next draw.
+    """
+
+    _CHUNK = 4096
+
+    def __init__(self, seed):
+        self._next_word = self._words(np.random.RandomState(seed)).__next__
+
+    @classmethod
+    def _words(cls, rs):
+        while True:
+            yield from rs.randint(0, 2**32, size=cls._CHUNK, dtype=np.uint32).tolist()
+
+    def randint_of(self, r):
+        """A function that replays ``RandomState.randint(r)`` on each call."""
+        if r == 1:
+            return lambda: 0
+        next_word = self._next_word
+        top = r - 1
+        mask = (1 << top.bit_length()) - 1
+
+        def randint():
+            v = next_word() & mask
+            while v > top:
+                v = next_word() & mask
+            return v
+        return randint
+
+    def random_sample(self):
+        """Replays ``RandomState.random_sample()``."""
+        next_word = self._next_word
+        return ((next_word() >> 5) * 67108864.0 + (next_word() >> 6)) / 9007199254740992.0
+
+
 def inver_over_py(pop, dist, generations, p_random, seed, hook=None):
     """Pure-python twin of the Inver-over loop; supports an acceptance hook.
 
+    Mutates ``pop`` in place and returns the tour lengths, bit for bit as
+    the scalar loop drawing from ``RandomState(seed)`` one call at a time:
+    the loop runs on Python lists and replays those draws from bulk-drawn
+    MT19937 words (see ``_RandomStateReplay``).
     ``hook(ancestor_length, accepted_length)`` fires on every acceptance,
     which lets tests assert the monotone-acceptance property directly.
     """
-    rng = np.random.RandomState(seed)
     ps, n = pop.shape
-    pos = np.argsort(pop, axis=1)
-    lengths = np.array(
-        [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)], np.int64
-    )
+    d = dist.tolist()
+    tours = pop.tolist()
+    pos = np.argsort(pop, axis=1).tolist()
+    lengths = [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)]
+    rng = _RandomStateReplay(seed)
+    random_city = rng.randint_of(n)
+    random_other = rng.randint_of(ps)
+    random_sample = rng.random_sample
     for _ in range(generations):
         for s in range(ps):
-            cur = pop[s].copy()
-            curpos = pos[s].copy()
+            cur = tours[s][:]
+            curpos = pos[s][:]
             delta = 0
-            c = cur[rng.randint(n)]
+            c = cur[random_city()]
             while True:
-                if rng.random_sample() <= p_random:
-                    c2 = cur[rng.randint(n)]
+                if random_sample() <= p_random:
+                    c2 = cur[random_city()]
                     while c2 == c:
-                        c2 = cur[rng.randint(n)]
+                        c2 = cur[random_city()]
                 else:
-                    other = rng.randint(ps)
+                    other = random_other()
                     while other == s:
-                        other = rng.randint(ps)
-                    c2 = pop[other, (pos[other, c] + 1) % n]
+                        other = random_other()
+                    c2 = tours[other][(pos[other][c] + 1) % n]
                 i = curpos[c]
                 succ = cur[(i + 1) % n]
-                if c2 == succ or c2 == cur[(i - 1) % n]:
+                if c2 == succ or c2 == cur[i - 1]:
                     break
                 j = curpos[c2]
                 nxt2 = cur[(j + 1) % n]
-                delta += dist[c, c2] + dist[succ, nxt2] - dist[c, succ] - dist[c2, nxt2]
-                a, b = (i + 1) % n, j
-                seg = (b - a) % n + 1
-                for t in range(seg // 2):
-                    ia = (a + t) % n
-                    ib = (b - t) % n
-                    ca, cb = cur[ia], cur[ib]
-                    cur[ia], cur[ib] = cb, ca
-                    curpos[ca], curpos[cb] = ib, ia
+                delta += d[c][c2] + d[succ][nxt2] - d[c][succ] - d[c2][nxt2]
+                # reverse the cyclic segment succ(c) .. c2 in place
+                a = (i + 1) % n
+                if a <= j:
+                    cur[a:j + 1] = cur[a:j + 1][::-1]
+                    for k in range(a, j + 1):
+                        curpos[cur[k]] = k
+                else:
+                    seg = cur[a:] + cur[:j + 1]
+                    seg.reverse()
+                    cur[a:] = seg[:n - a]
+                    cur[:j + 1] = seg[n - a:]
+                    for k in range(a, n):
+                        curpos[cur[k]] = k
+                    for k in range(j + 1):
+                        curpos[cur[k]] = k
                 c = c2
             if delta <= 0:
                 if hook is not None:
-                    hook(int(lengths[s]), int(lengths[s] + delta))
-                pop[s] = cur
+                    hook(lengths[s], lengths[s] + delta)
+                tours[s] = cur
                 pos[s] = curpos
                 lengths[s] += delta
-    return lengths
+    pop[:] = tours
+    return np.array(lengths, np.int64)
 
 
 inver_over_jit = _inver_over_loop if NUMBA_ENABLED else None

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,17 @@ def emit_boxplot_csv(labelled_values, path):
 # run orchestration
 # ---------------------------------------------------------------------------
 
+def _check_config_type(path, key, val):
+    """Reject a config-file value whose YAML type does not fit its field."""
+    hint = int if key == "reps" else typing.get_type_hints(IbeaConfig)[key]
+    allowed = typing.get_args(hint) or (hint,)
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(val, bool) != (bool in allowed) or not isinstance(val, allowed):
+        raise ValueError(f"{path}: {key} must be {names}, not {val!r}")
+
+
 def _config_from_args(args):
     fields = {}
     if args.config:
@@ -196,6 +208,8 @@ def _config_from_args(args):
         unknown = sorted(str(k) for k in loaded if k not in known)
         if unknown:
             raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+        for key, val in loaded.items():
+            _check_config_type(args.config, key, val)
         fields.update(loaded)
     for key in ("mu", "generations", "lam", "indicator", "selection",
                 "crossover_prob", "mutation_split", "tournament_size", "seed",

@@ -49,6 +49,10 @@ class IbeaConfig:
         for p in (self.crossover_prob, self.mutation_split):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        if not 0.0 <= self.seeding_p_random <= 1.0:
+            raise ValueError("seeding_p_random must lie in [0, 1]")
+        if self.seeding_generations < 0:
+            raise ValueError("seeding_generations must be >= 0")
         if self.indicator not in fr.INDICATOR_KINDS:
             raise ValueError(f"unknown indicator: {self.indicator}")
         if self.selection not in SELECTION_SCHEMES:

@@ -244,6 +244,17 @@ def test_cli_config_file(tiny4_file, tmp_path):
     assert summary["label"] == "uar-lsc"
 
 
+def test_cli_config_file_accepts_null_lam_and_integer_probability(tiny4_file, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("mu: 4\nlam: null\ngenerations: 1\ncrossover_prob: 1\n"
+                   "seeding_p_random: 0\nseeding_generations: 0\nboth_orientations: false\n")
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(tiny4_file), "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["lam"] == 4 and config["crossover_prob"] == 1
+
+
 def test_cli_summarize_empty_record_file(tmp_path, capsys):
     run_dir = tmp_path / "empty"
     run_dir.mkdir()
@@ -260,6 +271,14 @@ def test_cli_summarize_empty_record_file(tmp_path, capsys):
     ("mu: 4\nmu_typo: 5\n1: 2\n", "unknown config key(s): 1, mu_typo"),
     ("- mu\n- 4\n", "mapping"),
     ("mu: [4\n", "not valid YAML"),
+    ("mu: abc\n", "mu must be int, not 'abc'"),
+    ("mu: 4.5\n", "mu must be int"),
+    ("lam: true\n", "lam must be int or null"),
+    ("both_orientations: 1\n", "both_orientations must be bool"),
+    ("crossover_prob: high\n", "crossover_prob must be float"),
+    ("reps: two\n", "reps must be int"),
+    ("seeding_p_random: 2.0\n", "seeding_p_random must lie in [0, 1]"),
+    ("seeding_generations: -1\n", "seeding_generations must be >= 0"),
 ])
 def test_cli_run_bad_config_one_error_line(tiny4_file, tmp_path, capsys, text, needle):
     cfg = tmp_path / "cfg.yaml"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ttpsolve.fronts import (
     LHV, LSC, all_indicators, hypervolume, indicator, pareto_filter, surface,
@@ -8,6 +9,7 @@ from ttpsolve.pwt_dp import dp_front
 from ttpsolve.tours import make_tour
 
 from conftest import random_instance, random_tour
+from test_fronts_reference import make_front, populations
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +145,27 @@ def test_surface_csv(pair):
     assert lines[0] == "reward,weight,contributor_count"
     assert len(lines) == 4
     assert lines[1].endswith(",0,2")
+
+
+ALL_NON_POSITIVE = [make_front([-4.0, -2.0, 0.0], [0, 3, 5], 6),
+                    make_front([-3.0, -1.5], [1, 4], 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(populations())
+@example(ALL_NON_POSITIVE)
+def test_indicator_invariants(pop):
+    """Both kinds lie in [0, 1]; LSC values sum to at least 1 because every
+    surface point has an owner (less k float roundings of k terms); a
+    zero-volume surface, such as one with every reward <= 0, gives LHV ==
+    LSC."""
+    s = surface(pop)
+    values = {kind: all_indicators(s, kind) for kind in (LSC, LHV)}
+    for v in values.values():
+        assert v.shape == (len(pop),)
+        assert np.all((v >= 0.0) & (v <= 1.0))
+    assert values[LSC].sum() >= 1.0 - len(pop) * np.finfo(np.float64).eps
+    if hypervolume(s, s.capacity) == 0.0:
+        assert values[LHV].tolist() == values[LSC].tolist()
+    if s.rewards.max() <= 0.0:
+        assert hypervolume(s, s.capacity) == 0.0
