@@ -9,6 +9,12 @@ from raw 32-bit words drawn in bulk, applying RandomState's own masked
 rejection for ``randint`` and its two-word formula for ``random_sample`` (the
 legacy stream is frozen, so the replay is exact).  The segment-wise DP merge,
 which serves a whole batch of tours, is numpy only.
+
+Both numpy DP merges order cells by one rule, ``_merge_order``: a stable
+sort by weight (within a segment) merges the keep run and the take run, each
+already strictly increasing in weight, keep cell first at an equal weight;
+a take cell then swaps ahead only where its reward is strictly greater.
+That is the loop's ``old_b[i] >= tb[j]`` pick, so all three merges agree.
 """
 
 import os
@@ -33,6 +39,24 @@ if not NUMBA_ENABLED:
 # DP column merge
 # ---------------------------------------------------------------------------
 
+def _merge_order(key, b_all):
+    """Merge order of keep cells followed by take cells, by ``key`` ascending.
+
+    Both halves of ``key`` must be strictly increasing, so a key is shared
+    by at most one keep/take pair.  The stable sort merges the two runs and
+    puts the keep cell first at an equal key; a take cell then swaps ahead
+    only if its reward is strictly greater.  Returns ``order`` and
+    ``b_all[order]``.
+    """
+    order = np.argsort(key, kind="stable")
+    k_sorted = key[order]
+    b_sorted = b_all[order]
+    swap = np.flatnonzero((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1]))
+    order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    b_sorted[swap], b_sorted[swap + 1] = b_sorted[swap + 1], b_sorted[swap]
+    return order, b_sorted
+
+
 def dp_merge_py(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
     """Vectorised keep-vs-take column update with dominance pruning.
 
@@ -41,6 +65,9 @@ def dp_merge_py(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
     the rent-weighted distance remaining after the item's node.  Returns the
     pruned successor column plus back-links for plan reconstruction:
     ``(w, b, took, prev)`` where ``prev`` indexes the predecessor column.
+    Cells are ordered by weight, then best reward first, the keep cell first
+    on a full tie (``_merge_order``); a cell survives if it beats every cell
+    before it.
     """
     k = int(np.searchsorted(old_w, cap - item_w, side="right"))
     tw = old_w[:k] + item_w
@@ -48,21 +75,14 @@ def dp_merge_py(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
 
     n_old = old_w.size
     w_all = np.concatenate((old_w, tw))
-    b_all = np.concatenate((old_b, tb))
-    took = np.zeros(n_old + k, np.uint8)
-    took[n_old:] = 1
-    prev = np.concatenate((np.arange(n_old), np.arange(k)))
-
-    # weight ascending, then best reward first; on full ties the keep side
-    # (earlier-constructed) wins
-    order = np.lexsort((took, -b_all, w_all))
-    b_sorted = b_all[order]
+    order, b_sorted = _merge_order(w_all, np.concatenate((old_b, tb)))
     runmax = np.maximum.accumulate(b_sorted)
     keep = np.empty(b_sorted.size, bool)
     keep[0] = True
     keep[1:] = b_sorted[1:] > runmax[:-1]
     sel = order[keep]
-    return w_all[sel], b_all[sel], took[sel], prev[sel]
+    took = sel >= n_old
+    return w_all[sel], b_sorted[keep], took.astype(np.uint8), sel - n_old * took
 
 
 @njit(cache=True)
@@ -138,25 +158,13 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
         1.0 / (vmax - nu * tw) - 1.0 / (vmax - nu * old_w[src]))
 
     w_all = np.concatenate((old_w, tw))
-    b_all = np.concatenate((old_b, tb))
     s_all = np.concatenate((seg, t_seg))
-    took = np.zeros(w_all.size, np.uint8)
-    took[n_old:] = 1
-    prev = np.concatenate((np.arange(n_old), src))
 
-    # per segment: weight ascending, best reward first, keep side first on
-    # full ties, as in dp_merge_py.  Weights never exceed cap, so the key
-    # keeps segments apart; within a segment both sides have strictly
-    # increasing weights, so a key is shared by at most one keep/take pair,
-    # which the stable sort puts keep first and a better take then swaps.
-    key = s_all * (cap + 1) + w_all
-    order = np.argsort(key, kind="stable")
-    k_sorted = key[order]
-    b_sorted = b_all[order]
-    swap = np.flatnonzero((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1]))
-    order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    # per segment: the order of dp_merge_py.  Weights never exceed cap, so
+    # the key keeps segments apart, and within a segment both sides have
+    # strictly increasing weights, as _merge_order needs.
+    order, b_sorted = _merge_order(s_all * (cap + 1) + w_all, np.concatenate((old_b, tb)))
     s_sorted = s_all[order]
-    b_sorted = b_all[order]
     # running max within each segment over a padded (segment x width) grid
     # whose column 0 is -inf, so runmax at cell pos is the best reward before pos
     counts = np.bincount(s_sorted, minlength=n_seg)
@@ -165,8 +173,10 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
     grid = np.full(n_seg * width, -np.inf)
     grid[cell + 1] = b_sorted
     runmax = np.maximum.accumulate(grid.reshape(n_seg, width), axis=1).ravel()
-    sel = order[b_sorted > runmax[cell]]
-    return w_all[sel], b_all[sel], s_all[sel], took[sel], prev[sel]
+    keep = b_sorted > runmax[cell]
+    sel = order[keep]
+    prev = np.concatenate((np.arange(n_old), src))[sel]
+    return w_all[sel], b_sorted[keep], s_all[sel], (sel >= n_old).astype(np.uint8), prev
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,14 @@ def cli_summarize(args):
     return 0
 
 
+def _instance_tour(inst, cities):
+    """``tours.make_tour(cities)``, checked to visit all of ``inst``'s cities."""
+    t = tours.make_tour(cities)
+    if t.size != inst.n:
+        raise ValueError(f"tour has {t.size} cities, the instance has n={inst.n}")
+    return t
+
+
 def cli_plotdata(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,7 +316,7 @@ def cli_plotdata(args):
         with open(args.instance) as fh:
             inst = parse_instance(fh.read())
         with open(args.tours) as fh:
-            tour_list = [tours.make_tour(t) for t in json.load(fh)]
+            tour_list = [_instance_tour(inst, t) for t in json.load(fh)]
         front_list = []
         for t in tour_list:
             front_list.append(pwt_dp.dp_front(inst, t))
@@ -332,7 +340,7 @@ def cli_plotdata(args):
 def cli_dpfront(args):
     with open(args.instance) as fh:
         inst = parse_instance(fh.read())
-    t = tours.make_tour([int(x) for x in args.tour.split(",")])
+    t = _instance_tour(inst, [int(x) for x in args.tour.split(",")])
     front = pwt_dp.dp_front(inst, t)
     line = front.to_json()
     if args.out:

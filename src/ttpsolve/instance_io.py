@@ -13,6 +13,9 @@ import numpy as np
 
 # full distance matrices are precomputed below this city count
 MATRIX_THRESHOLD = 2000
+# tour lengths, times and costs must stay below this, far under the float64
+# maximum (~1.8e308), so that sums of rewards and costs cannot overflow
+COST_LIMIT = 1e300
 
 
 class InstanceFormatError(ValueError):
@@ -168,7 +171,41 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"item {expect} has non-positive profit/weight")
         items.append(Item(profit=profit, weight=weight, node=node))
 
-    return make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
+    inst = make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
+    problems = _float_violations(inst)
+    if problems:
+        raise InstanceFormatError(problems[0])
+    return inst
+
+
+def _float_violations(inst: Instance) -> list:
+    """Speed and rent values whose travel costs float64 cannot carry.
+
+    Beyond MAX SPEED finite and RENTING RATIO finite and >= 0, the speed at
+    full load, computed as the DP computes it, must stay positive, and the
+    length, time and cost of the longest conceivable tour must stay below
+    ``COST_LIMIT``.  Checked only on a sound speed range.
+    """
+    report = []
+    if not math.isfinite(inst.vmax):
+        report.append(f"MAX SPEED {inst.vmax} is not finite")
+    if not (math.isfinite(inst.rent) and inst.rent >= 0):
+        report.append(f"RENTING RATIO {inst.rent} must be finite and >= 0")
+    if report or not inst.vmax > inst.vmin > 0:
+        return report
+    slowest = inst.vmax - inst.nu * inst.capacity
+    if not slowest > 0:
+        return [f"speed at full load computes to {slowest}: MIN SPEED {inst.vmin} "
+                f"is too small against MAX SPEED {inst.vmax}"]
+    # a CEIL_2D leg is at most the diagonal of a bounding box plus 1
+    span = inst.coords.max(0, initial=0.0) - inst.coords.min(0, initial=0.0)
+    longest = max(inst.n, 1) * (math.hypot(*span) + 1)
+    # the DP forms both rent x distance and rent x distance / speed
+    worst = max(longest, longest / slowest)
+    if not (worst < COST_LIMIT and inst.rent * worst < COST_LIMIT):
+        return [f"tour times or costs reach beyond {COST_LIMIT:g} "
+                f"(MIN SPEED {inst.vmin}, RENTING RATIO {inst.rent})"]
+    return report
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -209,6 +246,7 @@ def validate(inst: Instance) -> list:
         report.append("negative capacity")
     if not (inst.vmax > inst.vmin > 0):
         report.append("speed range degenerate (need vmax > vmin > 0)")
+    report += _float_violations(inst)
     if inst.capacity > 0:
         expect_nu = (inst.vmax - inst.vmin) / inst.capacity
         if inst.nu != expect_nu:

@@ -4,9 +4,9 @@ For one tour the set of achievable (reward, weight) outcomes has a complete
 non-dominated staircase which a knapsack-style dynamic program recovers
 exactly: items are processed in tour order, each column is derived from its
 predecessor by a keep-vs-take step, and dominated cells are pruned
-immediately.  Columns are sparse (only surviving cells are stored) and all
-columns are retained so packing plans reconstruct by back-walking the
-stored (took, prev) links.
+immediately.  Columns are sparse (only surviving cells are stored).  Only
+the final column and every column's (took, prev) back-links are retained;
+packing plans reconstruct by back-walking those links.
 
 ``brute_force_front`` enumerates all packings and is the independent oracle
 for the DP.
@@ -138,51 +138,56 @@ def _leg(inst, t, i):
     return distance(inst, int(t[i]), int(t[(i + 1) % inst.n]))
 
 
-def _dp_columns(inst: Instance, t: np.ndarray):
-    """All pruned DP columns plus the processed-item order.
+def _base_column(inst: Instance, t: np.ndarray):
+    """The empty packing, charged with the full tour cost at top speed."""
+    return (np.zeros(1, np.int64),
+            np.array([-inst.rent * tour_length(inst, t) / inst.vmax], np.float64))
 
-    The virtual base column holds the empty packing charged with the full
-    tour cost at top speed; each item column then adds only cost
-    differences caused by taking that item.
+
+def _dp_columns(inst: Instance, t: np.ndarray):
+    """An iterator over the pruned DP columns plus the processed-item order.
+
+    Each column ``(w, b, took, prev)`` is merged from its predecessor, the
+    first from :func:`_base_column`; each item column adds only the cost
+    differences caused by taking that item.  Columns are made as the
+    iterator advances, so a caller keeps only what it needs of them.
     """
     order = _item_order(inst, t)
+    return _merged_columns(inst, t, order), order
+
+
+def _merged_columns(inst: Instance, t: np.ndarray, order: np.ndarray):
     rdist = _suffix_rdist(inst, t)
     pos_of_city = np.empty(inst.n + 1, np.int64)
     pos_of_city[t] = np.arange(inst.n)
-
-    base_reward = -inst.rent * tour_length(inst, t) / inst.vmax
-    col_w = np.zeros(1, np.int64)
-    col_b = np.array([base_reward], np.float64)
-    columns = []
+    col_w, col_b = _base_column(inst, t)
     for k in order:
         iw = int(inst.item_weight[k])
         ip = float(inst.item_profit[k])
         rd = float(rdist[pos_of_city[inst.item_node[k]]])
         col_w, col_b, took, prev = _kernels.dp_merge(
             col_w, col_b, iw, ip, rd, inst.vmax, inst.nu, inst.capacity)
-        columns.append((col_w, col_b, took, prev))
-    return columns, order
+        yield col_w, col_b, took, prev
 
 
 def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
     """Exact DP front for tour ``t`` with recoverable packing plans."""
     columns, order = _dp_columns(inst, t)
-    if not columns:
-        base = -inst.rent * tour_length(inst, t) / inst.vmax
-        return DpFront(tour=t.copy(), rewards=np.array([base]),
-                       weights=np.zeros(1, np.int64),
-                       plans_packed=np.zeros((1, 0), np.uint8),
-                       m=inst.m, capacity=inst.capacity)
-    final_w, final_b = columns[-1][0], columns[-1][1]
-    k = final_w.size
-    plans = np.zeros((k, inst.m), bool)
-    cur = np.arange(k)
-    for j in range(len(columns) - 1, -1, -1):
-        _, _, took, prev = columns[j]
-        plans[:, order[j]] = took[cur].astype(bool)
+    w, b = _base_column(inst, t)
+    links = []
+    for w, b, took, prev in columns:
+        links.append((took, prev))
+    # back-walk every final cell at once, collecting flags by item rank
+    by_rank = np.zeros((inst.m, w.size), bool)
+    cur = np.arange(w.size)
+    for j in range(inst.m - 1, -1, -1):
+        took, prev = links[j]
+        by_rank[j] = took[cur]
         cur = prev[cur]
-    return DpFront(tour=t.copy(), rewards=final_b.copy(), weights=final_w.copy(),
-                   plans_packed=_pack_plans(plans), m=inst.m, capacity=inst.capacity)
+    plans = np.zeros((w.size, inst.m), bool)
+    plans[:, order] = by_rank.T
+    return DpFront(tour=t.copy(), rewards=b, weights=w, plans_packed=_pack_plans(plans),
+                   m=inst.m, capacity=inst.capacity)
 
 
 def dp_fronts(inst: Instance, tours) -> list:

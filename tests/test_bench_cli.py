@@ -302,3 +302,22 @@ def test_cli_plotdata_fronts_needs_inputs(tiny4_file, tmp_path, capsys, missing)
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("tour", [[1, 2, 3], [1, 2, 3, 4, 5]])
+def test_cli_dpfront_wrong_tour_length(tiny4_file, capsys, tour):
+    rc = main(["dpfront", "--instance", str(tiny4_file), "--tour", ",".join(map(str, tour))])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: tour has {len(tour)} cities, the instance has n=4"]
+
+
+@pytest.mark.parametrize("tour", [[1, 2, 3], [1, 2, 3, 4, 5]])
+def test_cli_plotdata_fronts_wrong_tour_length(tiny4_file, tmp_path, capsys, tour):
+    tours_file = tmp_path / "tours.json"
+    tours_file.write_text(json.dumps([[1, 2, 3, 4], tour]))
+    rc = main(["plotdata", "--mode", "fronts", "--instance", str(tiny4_file),
+               "--tours", str(tours_file), "--out", str(tmp_path / "plots")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: tour has {len(tour)} cities, the instance has n=4"]

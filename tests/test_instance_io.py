@@ -1,10 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpsolve.instance_io import (
     InstanceFormatError, Item, distance, make_instance, parse_instance,
     serialize_instance, validate,
 )
+from ttpsolve.pwt_dp import dp_front
+from ttpsolve.tours import make_tour
 
 from conftest import TINY4_TEXT
 
@@ -125,3 +132,82 @@ def test_parse_rejects_degenerate_speed_range(vmin, vmax):
                      .replace("MAX SPEED: 1.0", f"MAX SPEED: {vmax}")
     with pytest.raises(InstanceFormatError, match="speed range degenerate"):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("RENTING RATIO", "nan", "RENTING RATIO nan must be finite and >= 0"),
+    ("RENTING RATIO", "-inf", "RENTING RATIO -inf must be finite and >= 0"),
+    ("RENTING RATIO", "inf", "RENTING RATIO inf must be finite and >= 0"),
+    ("RENTING RATIO", "-0.5", "RENTING RATIO -0.5 must be finite and >= 0"),
+    ("MAX SPEED", "inf", "MAX SPEED inf is not finite"),
+    ("MIN SPEED", "1e-300", "speed at full load computes to 0.0"),
+    ("MAX SPEED", "1e308", "speed at full load computes to 0.0"),
+    ("RENTING RATIO", "1e308", "tour times or costs reach beyond 1e\\+300"),
+    ("RENTING RATIO", "1e299", "tour times or costs reach beyond 1e\\+300"),
+])
+def test_parse_rejects_unusable_header_value(key, value, match):
+    line = next(ln for ln in TINY4_TEXT.splitlines() if ln.startswith(key + ":"))
+    with pytest.raises(InstanceFormatError, match=match):
+        parse_instance(TINY4_TEXT.replace(line, f"{key}: {value}"))
+
+
+def test_parse_accepts_zero_renting_ratio():
+    text = TINY4_TEXT.replace("RENTING RATIO: 1.0", "RENTING RATIO: 0")
+    assert parse_instance(text).rent == 0.0
+
+
+@pytest.mark.parametrize("vmax, rent, problem", [
+    (1.0, math.nan, "RENTING RATIO nan must be finite and >= 0"),
+    (1.0, -math.inf, "RENTING RATIO -inf must be finite and >= 0"),
+    (1.0, math.inf, "RENTING RATIO inf must be finite and >= 0"),
+    (1.0, -1.0, "RENTING RATIO -1.0 must be finite and >= 0"),
+    (math.inf, 1.0, "MAX SPEED inf is not finite"),
+])
+def test_validate_reports_unusable_header_value(tiny4, vmax, rent, problem):
+    bad = make_instance("bad", tiny4.coords, list(tiny4.items), 5, 0.1, vmax, rent)
+    assert validate(bad) == [problem]
+
+
+_JUNK = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "infinity", "0", "-0", "-1", "1e-300",
+                     "1e308", "", "abc", "1,5", "0x10", "1.0.0"]),
+    st.text(max_size=6).map(str.strip),
+)
+_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**20, 10**20)).map(str)
+_FLOATS = st.one_of(st.floats(0, 2), st.floats(-20, 20),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(1e-320, 1e-300), st.floats(1e300, 1e308)).map(repr)
+_HEADER_VALUES = {"DIMENSION": _INTS, "NUMBER OF ITEMS": _INTS, "CAPACITY OF KNAPSACK": _INTS,
+                  "MIN SPEED": _FLOATS, "MAX SPEED": _FLOATS, "RENTING RATIO": _FLOATS}
+# any city or item count but tiny4's fails, so those two are drawn a third as
+# often as the other headers
+_FUZZED_KEYS = ["DIMENSION", "NUMBER OF ITEMS"] + 3 * [
+    "CAPACITY OF KNAPSACK", "MIN SPEED", "MAX SPEED", "RENTING RATIO"]
+
+
+@st.composite
+def header_mutations(draw):
+    """One to three of tiny4's numeric headers replaced, mostly by a number
+    of the header's own type (tiny, huge, negative, nan or inf), else by junk."""
+    keys = draw(st.lists(st.sampled_from(_FUZZED_KEYS), min_size=1, max_size=3, unique=True))
+    return {key: draw(st.one_of(_HEADER_VALUES[key], _HEADER_VALUES[key], _JUNK)) for key in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(header_mutations())
+def test_parse_instance_fuzzed_headers(mutations):
+    """A mutated header either fails to parse with a ValueError or gives
+    finite fronts, computed without a float warning."""
+    lines = TINY4_TEXT.splitlines()
+    for i, ln in enumerate(lines):
+        key = ln.split(":", 1)[0]
+        if key in mutations:
+            lines[i] = f"{key}: {mutations[key]}"
+    try:
+        inst = parse_instance("\n".join(lines) + "\n")
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cities in ([1, 2, 3, 4], [1, 4, 3, 2]):
+            assert np.all(np.isfinite(dp_front(inst, make_tour(cities)).rewards))

@@ -49,6 +49,46 @@ def test_dp_merge_vectorised_equals_loop(args):
 
 
 @st.composite
+def wide_merge_inputs(draw):
+    """``merge_inputs`` at DP widths: 64 to a few thousand cells.
+
+    numpy's stable sort merges runs only from 64 elements on, so narrow
+    columns never reach that path.  The column is drawn from a seeded
+    generator; weights on a grid of ``unit`` and integer rewards with
+    ``rdist == 0`` give equal-weight keep/take collisions and exact reward
+    ties, and the capacity is often exactly a kept weight plus the item.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = draw(st.integers(1, 4))
+    n_old = draw(st.integers(64, 3000))
+    steps = rng.integers(1, draw(st.integers(2, 4)), n_old)
+    old_w = (np.cumsum(steps) - steps[0] + draw(st.integers(0, 2))) * unit
+    gains = rng.integers(1, draw(st.integers(2, 6)), n_old)
+    old_b = np.cumsum(gains).astype(np.float64) - draw(st.integers(0, 3000))
+    item_w = draw(st.integers(1, 40)) * unit
+    if draw(st.booleans()):
+        cap = int(old_w[draw(st.integers(0, n_old - 1))]) + item_w
+    else:
+        cap = draw(st.integers(0, int(old_w[-1]) + 2 * item_w))
+    cap = max(cap, int(old_w[-1]), 1)
+    item_p = float(draw(st.integers(1, 60)))
+    rdist = draw(st.sampled_from([0.0, 0.0, 3.7, 41.25]))
+    vmin = draw(st.sampled_from([0.1, 0.25]))
+    vmax = 1.0
+    return old_w.astype(np.int64), old_b, item_w, item_p, rdist, vmax, (vmax - vmin) / cap, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_merge_inputs())
+def test_dp_merge_wide_vectorised_equals_loop(args):
+    got = _kernels.dp_merge_py(*args)
+    want = _kernels._dp_merge_loop(*args)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
 def segment_inputs(draw):
     """Several ``merge_inputs`` columns under one capacity and speed law.
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 
 import numpy as np
@@ -13,6 +15,8 @@ from ttpsolve.pwt_dp import (
 from ttpsolve.tours import make_tour, reverse_tour
 
 from conftest import INSTANCES, random_instance, random_tour
+
+MAKE_INSTANCES = INSTANCES.parent / "scripts" / "make_instances.py"
 
 FWD = [1, 2, 3, 4]
 REV = [1, 4, 3, 2]
@@ -265,3 +269,49 @@ def test_dp_fronts_matches_oracle():
             g = brute_force_front(inst, t)
             assert np.array_equal(f.weights, g.weights)
             np.testing.assert_allclose(f.rewards, g.rewards, rtol=1e-9, atol=1e-12)
+
+
+def eil76_strongly_correlated():
+    """eil76 with 3 strongly correlated items per city (profit = weight +
+    100, weight uniform on 1..1000; Polyakovskiy et al., GECCO 2014) and
+    capacity 1/11 of the total weight: DP columns about 2,400 cells wide."""
+    spec = importlib.util.spec_from_file_location("make_instances", MAKE_INSTANCES)
+    make_instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_instances)
+    rng = np.random.default_rng(76)
+    items = [Item(profit=int(w) + 100, weight=int(w), node=node)
+             for node in range(2, len(make_instances.EIL76) + 1)
+             for w in rng.integers(1, 1001, size=3)]
+    capacity = sum(it.weight for it in items) // 11
+    inst = make_instance("eil76_bsc3", make_instances.EIL76, items, capacity, 0.1, 1.0, 1.0)
+    rng = np.random.default_rng(2014)
+    return inst, [random_tour(rng, inst.n) for _ in range(3)]
+
+
+# sha256 of rewards, weights and plans_packed bytes of dp_front on the three
+# tours of eil76_strongly_correlated(), frozen before the merge used a stable
+# weight sort and the DP kept only back-links
+GOLDEN_DP_WIDE = [
+    "7046e32ff6a69664c453bba5800b23146875dd2d071835cf844e5cd1eb98bdfe",
+    "fdd6fcbee64b962e403e5564966cec3cac60a8815a13b1f32b69f5ab1edadfb2",
+    "1a5885734da91009737376d5ddd059ffc7d39dd754bed9dffef0a137f69ef923",
+]
+
+
+def test_dp_front_wide_golden():
+    inst, tours_ = eil76_strongly_correlated()
+    digests = []
+    for t in tours_:
+        f = dp_front(inst, t)
+        assert f.rewards.size > 2000
+        digest = hashlib.sha256()
+        for a in (f.rewards, f.weights, f.plans_packed):
+            digest.update(a.tobytes())
+        digests.append(digest.hexdigest())
+    assert digests == GOLDEN_DP_WIDE
+
+
+def test_dp_fronts_equals_dp_front_wide():
+    inst, tours_ = eil76_strongly_correlated()
+    for t, f in zip(tours_, dp_fronts(inst, tours_)):
+        assert_same_front(f, dp_front(inst, t))
