@@ -211,12 +211,10 @@ def _config_from_args(args):
         for key, val in loaded.items():
             _check_config_type(args.config, key, val)
         fields.update(loaded)
-    for key in ("mu", "generations", "lam", "indicator", "selection",
-                "crossover_prob", "mutation_split", "tournament_size", "seed",
-                "both_orientations", "seeding_generations", "dp_cache_size"):
-        val = getattr(args, key, None)
+    for f in dataclasses.fields(IbeaConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            fields[key] = val
+            fields[f.name] = val
     reps = fields.pop("reps", None)
     if getattr(args, "reps", None) is not None:
         reps = args.reps
@@ -240,11 +238,8 @@ def cli_run(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cfg_dict = {f: getattr(cfg, f) for f in (
-        "mu", "generations", "lam", "indicator", "selection", "crossover_prob",
-        "mutation_split", "tournament_size", "both_orientations",
-        "seeding_generations", "seeding_p_random", "recompute_on_removal",
-        "dp_cache_size")}
+    cfg_dict = dataclasses.asdict(cfg)
+    del cfg_dict["seed"]
     label = f"{cfg.selection}-{cfg.indicator}"
     workers = int(os.environ.get("TTPSOLVE_WORKERS", "1"))
     seeds = [cfg.seed + i for i in range(reps)]

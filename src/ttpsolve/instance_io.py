@@ -16,6 +16,10 @@ MATRIX_THRESHOLD = 2000
 # tour lengths, times and costs must stay below this, far under the float64
 # maximum (~1.8e308), so that sums of rewards and costs cannot overflow
 COST_LIMIT = 1e300
+# CEIL_2D tour lengths are int64 sums of int64 legs; this bound leaves room
+# for the float rounding of each leg
+LENGTH_LIMIT = 2**62
+INT64_MAX = 2**63 - 1
 
 
 class InstanceFormatError(ValueError):
@@ -171,11 +175,40 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"item {expect} has non-positive profit/weight")
         items.append(Item(profit=profit, weight=weight, node=node))
 
+    problems = _range_violations(coords, items)
+    if problems:
+        raise InstanceFormatError(problems[0])
     inst = make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
     problems = _float_violations(inst)
     if problems:
         raise InstanceFormatError(problems[0])
     return inst
+
+
+def _range_violations(coords, items) -> list:
+    """Coordinates and item values that the int64 arrays cannot carry.
+
+    Coordinates must be finite, and the longest conceivable tour must stay
+    below ``LENGTH_LIMIT``.  The total profit and the total weight of all
+    items must fit in int64, so every packing's weight does too.
+    """
+    report = []
+    if not np.all(np.isfinite(coords)):
+        report.append("coordinates must be finite")
+    elif _longest_tour(coords) >= LENGTH_LIMIT:
+        report.append(f"coordinates span too far: tour lengths reach {LENGTH_LIMIT}")
+    for name in ("profit", "weight"):
+        total = sum(getattr(it, name) for it in items)
+        if total > INT64_MAX:
+            report.append(f"items' total {name} {total} is beyond int64 ({INT64_MAX})")
+    return report
+
+
+def _longest_tour(coords) -> float:
+    """An upper bound on any tour's length: n legs, each at most the
+    diagonal of the bounding box plus 1 (CEIL_2D rounds up)."""
+    span = coords.max(0, initial=0.0) - coords.min(0, initial=0.0)
+    return max(len(coords), 1) * (math.hypot(*span) + 1)
 
 
 def _float_violations(inst: Instance) -> list:
@@ -197,9 +230,7 @@ def _float_violations(inst: Instance) -> list:
     if not slowest > 0:
         return [f"speed at full load computes to {slowest}: MIN SPEED {inst.vmin} "
                 f"is too small against MAX SPEED {inst.vmax}"]
-    # a CEIL_2D leg is at most the diagonal of a bounding box plus 1
-    span = inst.coords.max(0, initial=0.0) - inst.coords.min(0, initial=0.0)
-    longest = max(inst.n, 1) * (math.hypot(*span) + 1)
+    longest = _longest_tour(inst.coords)
     # the DP forms both rent x distance and rent x distance / speed
     worst = max(longest, longest / slowest)
     if not (worst < COST_LIMIT and inst.rent * worst < COST_LIMIT):
@@ -246,6 +277,7 @@ def validate(inst: Instance) -> list:
         report.append("negative capacity")
     if not (inst.vmax > inst.vmin > 0):
         report.append("speed range degenerate (need vmax > vmin > 0)")
+    report += _range_violations(inst.coords, inst.items)
     report += _float_violations(inst)
     if inst.capacity > 0:
         expect_nu = (inst.vmax - inst.vmin) / inst.capacity

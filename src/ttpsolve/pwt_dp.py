@@ -199,10 +199,17 @@ def dp_fronts(inst: Instance, tours) -> list:
     to :func:`dp_front`'s (rewards, weights and packed plans).  This pays
     off for many narrow columns; :func:`dp_front` stays the path for one
     wide tour.
+
+    The merge sorts on an int64 key ``segment * (capacity + 1) + weight``,
+    so a batch needs ``len(tours) * (capacity + 1) < 2**63``; a larger one
+    raises ``ValueError``.
     """
     n_seg = len(tours)
     if n_seg == 0:
         return []
+    if n_seg * (inst.capacity + 1) >= 2**63:
+        raise ValueError(f"dp_fronts: a batch of {n_seg} tours at capacity {inst.capacity} "
+                         "overflows the int64 sort key (needs tours x (capacity + 1) < 2**63)")
     orders = np.array([_item_order(inst, t) for t in tours], np.int64).reshape(n_seg, inst.m)
     rd_rows = np.empty((n_seg, inst.m))
     for s, t in enumerate(tours):

@@ -117,8 +117,8 @@ def inver_over(inst: Instance, pop_size: int, generations: int,
     Each individual repeatedly inverts segments guided by adjacencies found
     in other individuals (or, with probability ``p_random``, by a random
     partner city) and accepts the result only when not longer.  ``hook``
-    forces the instrumented python path and receives
-    ``(ancestor_length, accepted_length)`` per acceptance.
+    only observes: it receives ``(ancestor_length, accepted_length)`` per
+    acceptance and does not change the tours.
     """
     if pop_size < 2:
         raise ValueError("inver_over needs pop_size >= 2")

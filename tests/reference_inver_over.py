@@ -2,7 +2,7 @@
 
 ``inver_over_py`` below is the scalar-at-a-time loop that draws from
 ``numpy.random.RandomState`` one call at a time.  The property tests in
-``test_inver_over_reference.py`` require ``ttpsolve._kernels.inver_over_py``
+``test_inver_over_reference.py`` require ``ttpsolve._kernels.run_inver_over``
 to reproduce it bit for bit: the final population, the returned lengths and
 the hook events.  Do not optimise this file.
 """

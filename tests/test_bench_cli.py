@@ -1,15 +1,19 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from ttpsolve import bench_cli
 from ttpsolve.bench_cli import (
     box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
     final_metrics, log_p_measure, main, read_records, summarize, welch_t_test,
 )
+from ttpsolve.evolve import IbeaConfig, run_ibea
 from ttpsolve.pwt_dp import dp_front
 from ttpsolve.tours import make_tour
 
@@ -321,3 +325,57 @@ def test_cli_plotdata_fronts_wrong_tour_length(tiny4_file, tmp_path, capsys, tou
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: tour has {len(tour)} cities, the instance has n=4"]
+
+
+# every IbeaConfig field but seed, each off its default
+NON_DEFAULT_CONFIG = {
+    "mu": 4, "generations": 3, "lam": 3, "indicator": "lsc", "selection": "uar",
+    "crossover_prob": 0.5, "mutation_split": 0.25, "tournament_size": 3,
+    "both_orientations": True, "seeding_generations": 5, "seeding_p_random": 0.5,
+    "recompute_on_removal": False, "dp_cache_size": 64, "debug_check_cache": True,
+}
+
+
+def test_cli_config_file_values_reach_every_rep(tiny4_file, tmp_path, monkeypatch):
+    assert set(NON_DEFAULT_CONFIG) == {f.name for f in dataclasses.fields(IbeaConfig)} - {"seed"}
+    assert all(getattr(IbeaConfig(), k) != v for k, v in NON_DEFAULT_CONFIG.items())
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({**NON_DEFAULT_CONFIG, "reps": 3}))
+    seen = []
+
+    def recording_run_ibea(inst, rep_cfg):
+        seen.append(rep_cfg)
+        return run_ibea(inst, rep_cfg)
+
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    monkeypatch.setattr(bench_cli, "run_ibea", recording_run_ibea)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(tiny4_file), "--config", str(cfg),
+                 "--out", str(out), "--seed", "5"]) == 0
+    assert [c.seed for c in seen] == [5, 6, 7]
+    for rep_cfg in seen:
+        assert {k: getattr(rep_cfg, k) for k in NON_DEFAULT_CONFIG} == NON_DEFAULT_CONFIG
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config == {**NON_DEFAULT_CONFIG, "seed": 5, "reps": 3}
+
+
+def test_cli_run_capacity_beyond_batch_key(tmp_path, capsys):
+    inst_file = tmp_path / "huge.ttp"
+    inst_file.write_text(TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5",
+                                            "CAPACITY OF KNAPSACK: 4000000000000000000"))
+    rc = main(["run", "--instance", str(inst_file), "--out", str(tmp_path / "o"),
+               "--mu", "4", "--generations", "1", "--seeding-generations", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "capacity 4000000000000000000" in err[0]
+
+
+def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):
+    inst_file = tmp_path / "heavy.ttp"
+    inst_file.write_text(TINY4_TEXT.replace("\n1 20 2 2\n", "\n1 20 99999999999999999999 2\n"))
+    rc = main(["dpfront", "--instance", str(inst_file), "--tour", "1,2,3,4"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "total weight" in err[0]

@@ -211,3 +211,70 @@ def test_parse_instance_fuzzed_headers(mutations):
         warnings.simplefilter("error")
         for cities in ([1, 2, 3, 4], [1, 4, 3, 2]):
             assert np.all(np.isfinite(dp_front(inst, make_tour(cities)).rewards))
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("\n1 20 2 2\n", "\n1 20 99999999999999999999 2\n", "items' total weight 1000"),
+    ("\n1 20 2 2\n", f"\n1 {2**63} 2 2\n", "items' total profit 9223372036854775863"),
+    ("\n1 20 2 2\n", f"\n1 20 {2**63 - 5} 2\n", "items' total weight 9223372036854775808"),
+    ("\n2 0 3\n", "\n2 nan 3\n", "coordinates must be finite"),
+    ("\n2 0 3\n", "\n2 -inf 3\n", "coordinates must be finite"),
+    ("\n2 0 3\n", "\n2 1e150 3\n", "coordinates span too far"),
+    ("\n2 0 3\n", "\n2 2e18 3\n", "coordinates span too far"),
+])
+def test_parse_rejects_values_beyond_int64(old, new, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstanceFormatError, match=match):
+            parse_instance(TINY4_TEXT.replace(old, new))
+
+
+def test_validate_reports_values_beyond_int64(tiny4):
+    far = make_instance("far", [(0, 0), (0, 3), (4, 3), (2e18, 0)], list(tiny4.items),
+                        5, 0.1, 1.0, 1.0)
+    assert validate(far)[0].startswith("coordinates span too far")
+
+
+_BODY_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**20, 10**20),
+                       st.sampled_from([2**62, 2**63 - 6, 2**63 - 1, 2**63, 2**64])).map(str)
+_BODY_VALUES = st.one_of(_BODY_INTS, _BODY_INTS, _FLOATS, _JUNK)
+# (first body line, fields) of tiny4's coordinate and item lines
+_COORD_LINE, _ITEM_LINE = 10, 15
+
+
+@st.composite
+def body_mutations(draw):
+    """One to three fields of tiny4's coordinate or item lines replaced by an
+    int (small, huge or around 2**63), a float (tiny, huge, nan or inf) or
+    junk, sometimes together with a header mutation."""
+    fields = [(_COORD_LINE + i, f) for i in range(4) for f in (1, 2)] + \
+             [(_ITEM_LINE + k, f) for k in range(3) for f in (1, 2, 3)]
+    at = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    header = draw(st.one_of(st.just({}), header_mutations()))
+    return {spot: draw(_BODY_VALUES) for spot in at}, header
+
+
+@settings(max_examples=300, deadline=None)
+@given(body_mutations())
+def test_parse_instance_fuzzed_body_lines(mutations):
+    """A mutated coordinate or item line either fails to parse with a
+    ValueError or gives finite fronts; neither path raises a float warning."""
+    body, header = mutations
+    lines = TINY4_TEXT.splitlines()
+    rows = {row: lines[row].split() for row, _ in body}
+    for (row, col), value in body.items():
+        rows[row][col] = value
+    for row, parts in rows.items():
+        lines[row] = " ".join(parts)
+    for i, ln in enumerate(lines):
+        key = ln.split(":", 1)[0]
+        if key in header:
+            lines[i] = f"{key}: {header[key]}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            inst = parse_instance("\n".join(lines) + "\n")
+        except ValueError:
+            return
+        for cities in ([1, 2, 3, 4], [1, 4, 3, 2]):
+            assert np.all(np.isfinite(dp_front(inst, make_tour(cities)).rewards))

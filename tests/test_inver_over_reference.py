@@ -1,7 +1,7 @@
 """The list-based Inver-over loop against the numpy-indexed reference.
 
 ``reference_inver_over.inver_over_py`` is the original loop that draws from
-``numpy.random.RandomState`` one call at a time.  ``_kernels.inver_over_py``
+``numpy.random.RandomState`` one call at a time.  ``_kernels.run_inver_over``
 must reproduce it bit for bit: the final population, the returned lengths
 (values and dtype) and the hook events.
 """
@@ -21,7 +21,7 @@ from ttpsolve.tours import _dist_matrix
 def run_both(pop, dist, generations, p_random, seed):
     """Run the loop and the reference on copies of ``pop``; return both."""
     results = []
-    for loop in (_kernels.inver_over_py, reference.inver_over_py):
+    for loop in (_kernels.run_inver_over, reference.inver_over_py):
         out = pop.copy()
         events = []
         lengths = loop(out, dist, generations, p_random, seed,

@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_dp_merge import _dp_merge_loop
 from ttpsolve import _kernels
 
 
@@ -41,8 +42,8 @@ TIE_AT_CAPACITY = (np.array([0, 2, 4], np.int64), np.array([-3.0, 1.0, 2.0]),
 @given(merge_inputs())
 @example(TIE_AT_CAPACITY)
 def test_dp_merge_vectorised_equals_loop(args):
-    got = _kernels.dp_merge_py(*args)
-    want = _kernels._dp_merge_loop(*args)
+    got = _kernels.dp_merge(*args)
+    want = _dp_merge_loop(*args)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -81,8 +82,8 @@ def wide_merge_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(wide_merge_inputs())
 def test_dp_merge_wide_vectorised_equals_loop(args):
-    got = _kernels.dp_merge_py(*args)
-    want = _kernels._dp_merge_loop(*args)
+    got = _kernels.dp_merge(*args)
+    want = _dp_merge_loop(*args)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
@@ -116,7 +117,7 @@ def test_dp_merge_segments_equals_per_column(args):
     assert np.all(np.diff(got_s) >= 0)
     offset = 0
     for s, (old_w, old_b, item_w, item_p, rdist, *_) in enumerate(cols):
-        want = _kernels.dp_merge_py(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)
+        want = _kernels.dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)
         mine = got_s == s
         for g, w in zip((got_w[mine], got_b[mine], got_t[mine], got_p[mine] - offset), want):
             assert g.dtype == w.dtype

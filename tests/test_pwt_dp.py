@@ -315,3 +315,30 @@ def test_dp_fronts_equals_dp_front_wide():
     inst, tours_ = eil76_strongly_correlated()
     for t, f in zip(tours_, dp_fronts(inst, tours_)):
         assert_same_front(f, dp_front(inst, t))
+
+
+@pytest.mark.parametrize("n_tours", [1, 2, 6])
+def test_dp_fronts_sort_key_bound(tiny4, n_tours):
+    """The largest capacity whose sort key fits int64 gives ``dp_front``'s
+    fronts; one more raises a ValueError naming capacity and batch size."""
+    fit = (2**63 - 1) // n_tours - 1
+    tours_ = ([make_tour(FWD), make_tour(REV)] * 3)[:n_tours]
+    for cap in (fit, fit + 1):
+        inst = make_instance("tiny4", tiny4.coords, list(tiny4.items), cap,
+                             tiny4.vmin, tiny4.vmax, tiny4.rent)
+        if cap == fit:
+            for t, f in zip(tours_, dp_fronts(inst, tours_)):
+                assert_same_front(f, dp_front(inst, t))
+        else:
+            with pytest.raises(ValueError, match=f"{n_tours} tours at capacity {cap}"):
+                dp_fronts(inst, tours_)
+
+
+def test_dp_fronts_rejects_wrapping_capacity():
+    text = (INSTANCES / "tiny4.ttp").read_text().replace(
+        "CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 4000000000000000000")
+    inst = parse_instance(text)
+    tours_ = [make_tour(FWD), make_tour(REV)] * 3
+    assert all(dp_front(inst, t).rewards.size == 6 for t in tours_)
+    with pytest.raises(ValueError, match="6 tours at capacity 4000000000000000000"):
+        dp_fronts(inst, tours_)
