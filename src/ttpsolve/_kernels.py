@@ -1,13 +1,13 @@
 """The two hot kernels: the exact DP column merge and the Inver-over loop.
 
 Each kernel has one source, in numpy and plain Python, so a run depends
-only on its seed.  ``dp_merge`` updates one DP column; ``dp_merge_segments``
-updates many columns of a batch of tours at once.  Both order cells by one
-rule, ``_merge_order``: a stable sort by weight (within a segment) merges
-the keep run and the take run, each already strictly increasing in weight,
-keep cell first at an equal weight; a take cell then swaps ahead only where
-its reward is strictly greater.  That is the scalar merge's
-``old_b[i] >= tb[j]`` pick, so both merges equal it
+only on its seed.  ``dp_merge`` updates one DP column with back-links;
+``dp_merge_segments`` updates many columns of a batch at once, points only.
+Both order cells by one rule, ``_merge_order``: a stable sort by weight
+(within a segment) merges the keep run and the take run, each already
+strictly increasing in weight, keep cell first at an equal weight; a take
+cell then swaps ahead only where its reward is strictly greater.  That is
+the scalar merge's ``old_b[i] >= tb[j]`` pick, so both merges equal it
 (``tests/reference_dp_merge.py``).
 
 ``run_inver_over`` runs on Python lists and replays
@@ -82,11 +82,11 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
     ``dp_merge`` on that column bit for bit: the take rewards use the
     same expression in the same operand order, and the sort and pruning are
     the same within each segment.  Returns the flat successor columns
-    ``(w, b, seg, took, prev)``; ``prev`` indexes the flat predecessor.
-    Rewards must be finite, and the sort key ``seg * (cap + 1) + w`` must
-    fit in int64: ``n_seg * (cap + 1) < 2**63``, which ``dp_fronts`` checks.
+    ``(w, b, seg)``, no back-links.  Rewards must be finite, and the sort
+    key ``seg * (cap + 1) + w`` must fit in int64: ``n_seg * (cap + 1) <
+    2**63``, which ``dp_fronts`` checks with ``cap = min(capacity, total
+    item weight)``.
     """
-    n_old = old_w.size
     src = np.flatnonzero(old_w + item_w[seg] <= cap)
     t_seg = seg[src]
     tw = old_w[src] + item_w[t_seg]
@@ -111,8 +111,7 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
     runmax = np.maximum.accumulate(grid.reshape(n_seg, width), axis=1).ravel()
     keep = b_sorted > runmax[cell]
     sel = order[keep]
-    prev = np.concatenate((np.arange(n_old), src))[sel]
-    return w_all[sel], b_sorted[keep], s_all[sel], (sel >= n_old).astype(np.uint8), prev
+    return w_all[sel], b_sorted[keep], s_all[sel]
 
 
 # ---------------------------------------------------------------------------

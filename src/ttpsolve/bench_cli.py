@@ -296,6 +296,8 @@ def cli_summarize(args):
 
 def _instance_tour(inst, cities):
     """``tours.make_tour(cities)``, checked to visit all of ``inst``'s cities."""
+    if not isinstance(cities, list):
+        raise ValueError(f"a tour must be a list of city numbers, not {cities!r}")
     t = tours.make_tour(cities)
     if t.size != inst.n:
         raise ValueError(f"tour has {t.size} cities, the instance has n={inst.n}")
@@ -311,21 +313,30 @@ def cli_plotdata(args):
         with open(args.instance) as fh:
             inst = parse_instance(fh.read())
         with open(args.tours) as fh:
-            tour_list = [_instance_tour(inst, t) for t in json.load(fh)]
+            doc = json.load(fh)
+        if not isinstance(doc, list):
+            raise ValueError(f"{args.tours}: expected a JSON list of tours")
+        tour_list = [_instance_tour(inst, t) for t in doc]
         front_list = []
         for t in tour_list:
             front_list.append(pwt_dp.dp_front(inst, t))
             if args.both_orientations:
                 front_list.append(pwt_dp.dp_front(inst, tours.reverse_tour(t)))
         emit_front_csv(front_list, out_dir / "fronts.csv")
+    elif not args.records:
+        raise ValueError(f"plotdata --mode {args.mode} needs --records")
     elif args.mode == "convergence":
-        reps = [read_records(p) for p in sorted(Path(args.records[0]).glob("rep_*.jsonl"))]
-        emit_convergence_csv(reps, out_dir / "convergence.csv")
+        rep_files = sorted(Path(args.records[0]).glob("rep_*.jsonl"))
+        if not rep_files:
+            raise ValueError(f"{args.records[0]}: no rep_*.jsonl record files")
+        emit_convergence_csv([read_records(p) for p in rep_files], out_dir / "convergence.csv")
     else:  # boxplot
         labelled = {}
         for run_dir in args.records:
             with open(Path(run_dir) / "summary.json") as fh:
                 meta = json.load(fh)
+            if not meta["repetitions"]:
+                raise ValueError(f"{run_dir}: summary.json lists no repetitions")
             labelled[meta["label"]] = [r["best_reward"] for r in meta["repetitions"]]
         emit_boxplot_csv(labelled, out_dir / "boxplot.csv")
     print(f"plot data written to {out_dir}")

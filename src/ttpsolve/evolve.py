@@ -91,8 +91,8 @@ class RunResult:
     records: list
     archive_points: list            # best-ever Pareto archive over all fronts
     best_reward: float
-    best_tour: np.ndarray
-    best_plan: list                 # 1-based item indices
+    best_tour: np.ndarray           # the orientation that best_plan is packed on
+    best_plan: list                 # 1-based item indices, rebuilt once at the end
     final_population: list
 
 
@@ -150,10 +150,21 @@ def _fresh_front(inst, tour, both_orientations):
     return front
 
 
+def _best_solution(inst, tour, both_orientations):
+    """The orientation of ``tour`` and the 1-based plan behind its top reward.
+
+    The reversal wins only where ``merge_fronts`` would keep its top point.
+    """
+    front = pwt_dp.dp_front(inst, tour)
+    if both_orientations:
+        rev = pwt_dp.dp_front(inst, tours.reverse_tour(tour))
+        if (rev.rewards[-1], -rev.weights[-1]) > (front.rewards[-1], -front.weights[-1]):
+            front = rev
+    return front.tour, front.plan_items(front.rewards.size - 1)
+
+
 def _same_front(a, b):
-    return (a.rewards.tobytes() == b.rewards.tobytes()
-            and np.array_equal(a.weights, b.weights)
-            and np.array_equal(a.plans_packed, b.plans_packed))
+    return a.rewards.tobytes() == b.rewards.tobytes() and np.array_equal(a.weights, b.weights)
 
 
 def compute_indicators(pop, kind):
@@ -271,7 +282,7 @@ def mate(parents, cfg, rng):
 
 
 class _Archive:
-    """Best-ever Pareto archive over every front produced in a run."""
+    """Best-ever Pareto archive over every front produced in a run (points only)."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -279,14 +290,12 @@ class _Archive:
         self.weights = np.zeros(0, np.int64)
         self.best_reward = -np.inf
         self.best_tour = None
-        self.best_plan = []
 
     def add(self, front):
         top = float(front.rewards.max())
         if top > self.best_reward:
             self.best_reward = top
             self.best_tour = front.tour.copy()
-            self.best_plan = front.plan_items(int(front.rewards.argmax()))
         rewards = np.concatenate((self.rewards, front.rewards))
         weights = np.concatenate((self.weights, front.weights))
         keep = pwt_dp.staircase(rewards, weights)
@@ -357,6 +366,7 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
             archive.add(front)
             pop.append(Individual(tour=child, front=front))
 
+    best_tour, best_plan = _best_solution(inst, archive.best_tour, cfg.both_orientations)
     return RunResult(records=records, archive_points=archive.points(),
-                     best_reward=archive.best_reward, best_tour=archive.best_tour,
-                     best_plan=archive.best_plan, final_population=pop)
+                     best_reward=archive.best_reward, best_tour=best_tour,
+                     best_plan=best_plan, final_population=pop)

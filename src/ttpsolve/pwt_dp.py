@@ -4,9 +4,10 @@ For one tour the set of achievable (reward, weight) outcomes has a complete
 non-dominated staircase which a knapsack-style dynamic program recovers
 exactly: items are processed in tour order, each column is derived from its
 predecessor by a keep-vs-take step, and dominated cells are pruned
-immediately.  Columns are sparse (only surviving cells are stored).  Only
-the final column and every column's (took, prev) back-links are retained;
-packing plans reconstruct by back-walking those links.
+immediately.  Columns are sparse (only surviving cells are stored).
+``dp_front`` retains only the final column and every column's (took, prev)
+back-links, and rebuilds packing plans by back-walking them; the batched
+``dp_fronts`` keeps no links and yields points only.
 
 ``brute_force_front`` enumerates all packings and is the independent oracle
 for the DP.
@@ -32,12 +33,13 @@ class DpFront:
 
     ``rewards`` and ``weights`` are parallel arrays sorted by weight with
     strictly increasing rewards.  ``plans_packed`` holds one packing per
-    point as packbits rows; ``plans`` unpacks them to boolean flags.
+    point as packbits rows (None on a points-only front from ``dp_fronts``);
+    ``plans`` unpacks them to boolean flags.
     """
     tour: np.ndarray
     rewards: np.ndarray
     weights: np.ndarray
-    plans_packed: np.ndarray
+    plans_packed: np.ndarray | None
     m: int
     capacity: int
 
@@ -47,6 +49,8 @@ class DpFront:
 
     @property
     def plans(self) -> np.ndarray:
+        if self.plans_packed is None:
+            raise ValueError("a points-only front (from dp_fronts) has no plans; use dp_front")
         if self.m == 0:
             return np.zeros((len(self.rewards), 0), bool)
         return np.unpackbits(self.plans_packed, axis=1, count=self.m).astype(bool)
@@ -191,25 +195,27 @@ def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
 
 
 def dp_fronts(inst: Instance, tours) -> list:
-    """``[dp_front(inst, t) for t in tours]``, computed as one batched DP.
+    """The points of ``[dp_front(inst, t) for t in tours]``, as one batched DP.
 
     All tours advance together: item rank ``j`` is one segment-wise merge
     over the flat concatenation of every tour's column, where each tour
-    takes its own ``j``-th item in tour order.  The fronts are bit-identical
-    to :func:`dp_front`'s (rewards, weights and packed plans).  This pays
-    off for many narrow columns; :func:`dp_front` stays the path for one
-    wide tour.
+    takes its own ``j``-th item in tour order.  Rewards and weights are
+    bit-identical to :func:`dp_front`'s; no links are kept, so the fronts
+    have ``plans_packed=None``.  This pays off for many narrow columns;
+    :func:`dp_front` stays the path for one wide tour and for plans.
 
-    The merge sorts on an int64 key ``segment * (capacity + 1) + weight``,
-    so a batch needs ``len(tours) * (capacity + 1) < 2**63``; a larger one
-    raises ``ValueError``.
+    The merge sorts on an int64 key ``segment * (cap + 1) + weight``, where
+    ``cap = min(capacity, total item weight)`` takes the same items as the
+    capacity.  A batch needs ``len(tours) * (cap + 1) < 2**63``; a larger
+    one raises ``ValueError``.
     """
     n_seg = len(tours)
     if n_seg == 0:
         return []
-    if n_seg * (inst.capacity + 1) >= 2**63:
-        raise ValueError(f"dp_fronts: a batch of {n_seg} tours at capacity {inst.capacity} "
-                         "overflows the int64 sort key (needs tours x (capacity + 1) < 2**63)")
+    cap = min(inst.capacity, sum(inst.item_weight.tolist()))
+    if n_seg * (cap + 1) >= 2**63:
+        raise ValueError(f"dp_fronts: {n_seg} tours at capacity {cap} overflow the int64 sort "
+                         "key (needs tours x (min(capacity, total item weight) + 1) < 2**63)")
     orders = np.array([_item_order(inst, t) for t in tours], np.int64).reshape(n_seg, inst.m)
     rd_rows = np.empty((n_seg, inst.m))
     for s, t in enumerate(tours):
@@ -222,29 +228,14 @@ def dp_fronts(inst: Instance, tours) -> list:
     seg = np.arange(n_seg)
     w = np.zeros(n_seg, np.int64)
     b = np.array([-inst.rent * tour_length(inst, t) / inst.vmax for t in tours], np.float64)
-    links = []
     for j in range(inst.m):
-        w, b, seg, took, prev = _kernels.dp_merge_segments(
-            w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j],
-            inst.vmax, inst.nu, inst.capacity)
-        links.append((took, prev))
-
-    # back-walk every final cell at once, collecting flags by item rank
-    by_rank = np.zeros((w.size, inst.m), bool)
-    cur = np.arange(w.size)
-    for j in range(inst.m - 1, -1, -1):
-        took, prev = links[j]
-        by_rank[:, j] = took[cur]
-        cur = prev[cur]
-    plans = np.zeros_like(by_rank)
-    plans[np.arange(w.size)[:, None], orders[seg]] = by_rank
-    packed = _pack_plans(plans)
+        w, b, seg = _kernels.dp_merge_segments(
+            w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)
 
     cuts = np.cumsum(np.bincount(seg, minlength=n_seg))[:-1]
-    return [DpFront(tour=t.copy(), rewards=rs.copy(), weights=ws.copy(), plans_packed=ps.copy(),
+    return [DpFront(tour=t.copy(), rewards=rs.copy(), weights=ws.copy(), plans_packed=None,
                     m=inst.m, capacity=inst.capacity)
-            for t, rs, ws, ps in zip(tours, np.split(b, cuts), np.split(w, cuts),
-                                     np.split(packed, cuts))]
+            for t, rs, ws in zip(tours, np.split(b, cuts), np.split(w, cuts))]
 
 
 def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
@@ -287,10 +278,12 @@ def best_reward(f: DpFront) -> float:
 
 
 def merge_fronts(a: DpFront, b: DpFront) -> DpFront:
-    """Pareto merge of two fronts of the same instance (keeps ``a``'s tour)."""
+    """Pareto merge of two fronts, keeping ``a``'s tour and, if both have them, plans."""
     rewards = np.concatenate((a.rewards, b.rewards))
     weights = np.concatenate((a.weights, b.weights))
-    plans = np.concatenate((a.plans, b.plans)) if a.m else np.zeros((rewards.size, 0), bool)
     keep = staircase(rewards, weights)
+    packed = None
+    if a.plans_packed is not None and b.plans_packed is not None:
+        packed = np.concatenate((a.plans_packed, b.plans_packed))[keep]
     return DpFront(tour=a.tour.copy(), rewards=rewards[keep], weights=weights[keep],
-                   plans_packed=_pack_plans(plans[keep]), m=a.m, capacity=a.capacity)
+                   plans_packed=packed, m=a.m, capacity=a.capacity)

@@ -122,6 +122,10 @@ def inver_over(inst: Instance, pop_size: int, generations: int,
     """
     if pop_size < 2:
         raise ValueError("inver_over needs pop_size >= 2")
+    if generations < 0:
+        raise ValueError("generations must be >= 0")
+    if not 0.0 <= p_random <= 1.0:
+        raise ValueError("p_random must lie in [0, 1]")
     rng = rng if rng is not None else np.random.default_rng()
     n = inst.n
     pop = np.empty((pop_size, n), np.int64)

@@ -360,15 +360,65 @@ def test_cli_config_file_values_reach_every_rep(tiny4_file, tmp_path, monkeypatc
 
 
 def test_cli_run_capacity_beyond_batch_key(tmp_path, capsys):
+    """A capacity beyond the batch key's range runs when the items weigh
+    little; items that weigh that much too give one error line."""
+    huge = TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5000000000000000000")
     inst_file = tmp_path / "huge.ttp"
-    inst_file.write_text(TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5",
-                                            "CAPACITY OF KNAPSACK: 4000000000000000000"))
-    rc = main(["run", "--instance", str(inst_file), "--out", str(tmp_path / "o"),
-               "--mu", "4", "--generations", "1", "--seeding-generations", "2"])
-    assert rc == 2
+    args = ["run", "--instance", str(inst_file), "--out", str(tmp_path / "o"), "--mu", "6",
+            "--generations", "2", "--seeding-generations", "0", "--both-orientations"]
+    inst_file.write_text(huge)
+    assert main(args) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    # the knapsack takes every item at no speed loss: 75 profit less 14 rent
+    assert summary["repetitions"][0]["best_reward"] == pytest.approx(61.0)
+    assert summary["repetitions"][0]["best_plan"] == [1, 2, 3]
+    # every item at 2e18: a batch of two tours already overflows the key
+    inst_file.write_text(huge.replace(" 2 2\n", " 2000000000000000000 2\n")
+                         .replace(" 3 3\n", " 2000000000000000000 3\n")
+                         .replace(" 2 4\n", " 2000000000000000000 4\n"))
+    capsys.readouterr()
+    assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error:") and "capacity 4000000000000000000" in err[0]
+    assert err[0].startswith("error:") and "capacity 5000000000000000000" in err[0]
+
+
+def _write_cli_inputs(tmp_path):
+    (tmp_path / "no_reps").mkdir()
+    (tmp_path / "no_reps" / "summary.json").write_text(json.dumps({"label": "L"}))
+    (tmp_path / "empty_run").mkdir()
+    (tmp_path / "empty_run" / "summary.json").write_text(
+        json.dumps({"label": "L", "instance": "tiny4", "repetitions": []}))
+    (tmp_path / "int_tour.json").write_text("[1]")
+    (tmp_path / "not_list.json").write_text("5")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["plotdata", "--mode", "convergence"], "needs --records"),
+    (["plotdata", "--mode", "boxplot"], "needs --records"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps"], "no rep_*.jsonl"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/empty_run"], "no repetitions"),
+    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours", "{tmp}/int_tour.json"],
+     "a tour must be a list of city numbers, not 1"),
+    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours", "{tmp}/not_list.json"],
+     "expected a JSON list of tours"),
+    (["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--generations", "-1"],
+     "generations must be >= 0"),
+    (["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--p-random", "2"],
+     "p_random must lie in [0, 1]"),
+])
+def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
+    _write_cli_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path, tiny4=tiny4_file) for a in argv]
+    out = tmp_path / "plots"
+    rc = main(argv + (["--out", str(out)] if argv[0] == "plotdata" else []))
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and needle in err[0]
+    assert captured.out == ""
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):

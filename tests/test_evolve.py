@@ -8,7 +8,7 @@ from ttpsolve.evolve import (
     selection_probabilities, survivor_select,
 )
 from ttpsolve.instance_io import parse_instance
-from ttpsolve.pwt_dp import dp_front
+from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate
 from ttpsolve.tours import is_valid_tour, make_tour
 
 TINY4_OPT = 19.348214285714285
@@ -198,6 +198,20 @@ def test_debug_check_cache_leaves_run_unchanged(tiny4, indicator, both):
         assert _run_view(runs[0]) == _run_view(runs[1])
 
 
+@pytest.mark.parametrize("both", [False, True])
+def test_best_plan_reproduces_best_reward(tiny4, both):
+    """``best_plan`` packed on ``best_tour`` is feasible and earns ``best_reward``."""
+    eil51 = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    for inst, seed in ((tiny4, 3), (tiny4, 6), (eil51, 1), (eil51, 7)):
+        res = run_ibea(inst, IbeaConfig(mu=6, generations=8, seed=seed, seeding_generations=20,
+                                        both_orientations=both))
+        taken = np.zeros(inst.m, bool)
+        taken[np.asarray(res.best_plan, np.int64) - 1] = True
+        reward, weight = evaluate(inst, res.best_tour, taken)
+        assert weight <= inst.capacity
+        assert reward == pytest.approx(res.best_reward, rel=REWARD_RTOL)
+
+
 def test_callback_stops_early(tiny4):
     cfg = IbeaConfig(mu=4, generations=100, seed=2, seeding_generations=10)
     res = run_ibea(tiny4, cfg, callback=lambda rec: rec.generation < 5)
@@ -230,6 +244,11 @@ GOLDEN_EIL51 = {
     False: (473.93757298673364, 410521.1942520221, 410521.1942520221),
     True: (617.3348490388231, 468167.3068409893, 468167.3068409893),
 }
+# best_plan of the same runs; a change that keeps run_ibea's behaviour keeps these
+GOLDEN_EIL51_BEST_PLAN = {
+    False: [2, 6, 17, 23, 24, 25, 27, 30, 36, 48, 49],
+    True: [2, 6, 24, 25, 27, 36, 47, 48, 49],
+}
 
 
 @pytest.mark.parametrize("both", [False, True])
@@ -237,5 +256,7 @@ def test_run_ibea_golden_fingerprint_eil51(both):
     inst = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
     cfg = IbeaConfig(mu=20, lam=20, generations=5, seeding_generations=200,
                      seed=7, both_orientations=both)
-    last = run_ibea(inst, cfg).records[-1]
+    res = run_ibea(inst, cfg)
+    last = res.records[-1]
     assert (last.best_reward, last.population_hv, last.archive_hv) == GOLDEN_EIL51[both]
+    assert res.best_plan == GOLDEN_EIL51_BEST_PLAN[both]

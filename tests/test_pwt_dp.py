@@ -225,12 +225,13 @@ def batch_inputs(draw):
 
 
 def assert_same_front(got, want):
+    """``got``, a points-only ``dp_fronts`` front, has ``want``'s points bit for bit."""
     assert got.tour.tolist() == want.tour.tolist()
-    for g, w in ((got.rewards, want.rewards), (got.weights, want.weights),
-                 (got.plans_packed, want.plans_packed)):
+    for g, w in ((got.rewards, want.rewards), (got.weights, want.weights)):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     assert (got.m, got.capacity) == (want.m, want.capacity)
+    assert got.plans_packed is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +248,19 @@ def test_dp_fronts_equals_dp_front(args):
 
 def test_dp_fronts_empty_batch(tiny4):
     assert dp_fronts(tiny4, []) == []
+
+
+def test_dp_fronts_front_has_no_plans(tiny4):
+    f = dp_fronts(tiny4, [make_tour(FWD)])[0]
+    assert f.points == dp_front(tiny4, make_tour(FWD)).points
+    for use in (lambda: f.plans, lambda: f.plan_items(0), f.to_json):
+        with pytest.raises(ValueError, match="use dp_front"):
+            use()
+    # merging keeps plans only when both fronts have them
+    g = dp_front(tiny4, make_tour(REV))
+    assert merge_fronts(f, g).plans_packed is None
+    assert merge_fronts(g, f).plans_packed is None
+    assert merge_fronts(g, g).plans.tolist() == g.plans.tolist()
 
 
 def test_dp_fronts_eil51_mixed_widths():
@@ -319,26 +333,38 @@ def test_dp_fronts_equals_dp_front_wide():
 
 @pytest.mark.parametrize("n_tours", [1, 2, 6])
 def test_dp_fronts_sort_key_bound(tiny4, n_tours):
-    """The largest capacity whose sort key fits int64 gives ``dp_front``'s
-    fronts; one more raises a ValueError naming capacity and batch size."""
+    """The sort key is bounded by min(capacity, total item weight): at the
+    largest such bound that fits int64, ``dp_fronts`` gives ``dp_front``'s
+    points whatever the capacity above it; one more raises a ValueError
+    naming the bound and the batch size."""
     fit = (2**63 - 1) // n_tours - 1
     tours_ = ([make_tour(FWD), make_tour(REV)] * 3)[:n_tours]
-    for cap in (fit, fit + 1):
-        inst = make_instance("tiny4", tiny4.coords, list(tiny4.items), cap,
-                             tiny4.vmin, tiny4.vmax, tiny4.rent)
-        if cap == fit:
-            for t, f in zip(tours_, dp_fronts(inst, tours_)):
-                assert_same_front(f, dp_front(inst, t))
-        else:
-            with pytest.raises(ValueError, match=f"{n_tours} tours at capacity {cap}"):
-                dp_fronts(inst, tours_)
+    for total in (fit, fit + 1):
+        heavy = [Item(it.profit, w, it.node) for it, w in
+                 zip(tiny4.items, (total // 2, total // 4, total - total // 2 - total // 4))]
+        for cap in (total, 2**63 - 1):
+            inst = make_instance("tiny4", tiny4.coords, heavy, cap,
+                                 tiny4.vmin, tiny4.vmax, tiny4.rent)
+            if total == fit:
+                for t, f in zip(tours_, dp_fronts(inst, tours_)):
+                    assert_same_front(f, dp_front(inst, t))
+            else:
+                with pytest.raises(ValueError, match=f"{n_tours} tours at capacity {total}"):
+                    dp_fronts(inst, tours_)
 
 
 def test_dp_fronts_rejects_wrapping_capacity():
+    """A capacity beyond the key's range is refused only if the items weigh
+    that much too; light items leave ``dp_front``'s points."""
     text = (INSTANCES / "tiny4.ttp").read_text().replace(
         "CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 4000000000000000000")
-    inst = parse_instance(text)
     tours_ = [make_tour(FWD), make_tour(REV)] * 3
-    assert all(dp_front(inst, t).rewards.size == 6 for t in tours_)
+    inst = parse_instance(text)
+    for t, f in zip(tours_, dp_fronts(inst, tours_)):
+        assert f.rewards.size == 6
+        assert_same_front(f, dp_front(inst, t))
+    heavy = parse_instance(text.replace(" 2 2\n", " 2000000000000000000 2\n")
+                           .replace(" 3 3\n", " 3000000000000000000 3\n"))
+    assert all(dp_front(heavy, t).rewards.size > 1 for t in tours_)
     with pytest.raises(ValueError, match="6 tours at capacity 4000000000000000000"):
-        dp_fronts(inst, tours_)
+        dp_fronts(heavy, tours_)
