@@ -95,8 +95,11 @@ def read_records(path):
 
 def final_metrics(run_dir):
     """Per-repetition final (population_hv, best_reward) of one run dir."""
+    rep_files = sorted(Path(run_dir).glob("rep_*.jsonl"))
+    if not rep_files:
+        raise ValueError(f"{run_dir}: no rep_*.jsonl record files")
     out = []
-    for rep in sorted(Path(run_dir).glob("rep_*.jsonl")):
+    for rep in rep_files:
         records = read_records(rep)
         if not records:
             raise ValueError(f"no records in {rep}")
@@ -326,6 +329,9 @@ def cli_plotdata(args):
     elif not args.records:
         raise ValueError(f"plotdata --mode {args.mode} needs --records")
     elif args.mode == "convergence":
+        if len(args.records) > 1:
+            raise ValueError("plotdata --mode convergence takes one --records dir, "
+                             f"got {len(args.records)}")
         rep_files = sorted(Path(args.records[0]).glob("rep_*.jsonl"))
         if not rep_files:
             raise ValueError(f"{args.records[0]}: no rep_*.jsonl record files")

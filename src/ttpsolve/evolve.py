@@ -3,9 +3,10 @@
 Each individual is a tour; its fitness is a front-level loss indicator
 computed against the surface of the whole population's DP fronts.  The
 generation loop is: indicators, survivor trim (with indicator recomputation
-after every removal), parent selection by one of eight schemes, mating
-(order crossover + one mutation per child), then appending the children
-with freshly computed fronts.
+after every removal, against surfaces from one ``fronts.SurfacePool`` that
+sorts the population's points once), parent selection by one of eight
+schemes, mating (order crossover + one mutation per child), then appending
+the children with freshly computed fronts.
 """
 
 from collections import OrderedDict
@@ -35,7 +36,6 @@ class IbeaConfig:
     both_orientations: bool = False
     seeding_generations: int = 1000
     seeding_p_random: float = tours.P_RANDOM_DEFAULT
-    recompute_on_removal: bool = True   # rescore after each removal; off = fast mode
     dp_cache_size: int = 4096
     debug_check_cache: bool = False
 
@@ -176,22 +176,29 @@ def compute_indicators(pop, kind):
     return surf
 
 
-def survivor_select(pop, mu, rng, kind, recompute=True):
+def survivor_select(pop, mu, rng, kind):
     """Trim to ``mu`` by repeated removal of a minimal-indicator individual.
 
-    Ties break uniformly at random.  By default the surface-relative
-    indicators are recomputed after every removal but the last, since
-    removing a contributor changes the surface.  The survivors' values are
-    therefore stale on return; the caller refreshes them with
-    :func:`compute_indicators`, which also yields the survivors' surface.
+    Ties break uniformly at random.  The first removal reads the incoming
+    ``ind.value``s; after every removal but the last, the surface-relative
+    indicators of the rest are recomputed, since removing a contributor
+    changes the surface.  One :class:`fronts.SurfacePool` sorts the
+    population's points once and yields each of those surfaces.  The
+    survivors come back in population order with their values stale; the
+    caller refreshes them with :func:`compute_indicators`, which also yields
+    the survivors' surface.
     """
     pop = list(pop)
+    if len(pop) <= mu:
+        return pop
+    pool = fr.SurfacePool([ind.front for ind in pop])
+    values = np.array([ind.value for ind in pop])
     while len(pop) > mu:
-        values = np.array([ind.value for ind in pop])
         worst = np.flatnonzero(values == values.min())
-        pop.pop(int(rng.choice(worst)))
-        if recompute and len(pop) > mu:
-            compute_indicators(pop, kind)
+        gone = int(rng.choice(worst))
+        pop.pop(gone)
+        if len(pop) > mu:
+            values = fr.all_indicators(pool.remove(gone), kind)
     return pop
 
 
@@ -336,8 +343,7 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     while True:
         if len(pop) > cfg.mu:
             compute_indicators(pop, cfg.indicator)
-            pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator,
-                                  recompute=cfg.recompute_on_removal)
+            pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator)
         surf = compute_indicators(pop, cfg.indicator)
         if cfg.debug_check_cache and gen % 10 == 0:
             # draws no random numbers, so the check leaves the run unchanged

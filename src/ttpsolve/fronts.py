@@ -1,6 +1,14 @@
 """Front algebra: Pareto filtering, the surface of a front collection,
 hypervolume, and the two front-level loss indicators.
 
+A ``SurfacePool`` sorts the points of a front collection once and then
+yields the surface after each removal of a front, as IBEA's survivor trim
+needs.  A removed front that holds no *head* (a point the staircase scan
+keeps) leaves the surface points exactly as they were, so only its
+membership row goes; otherwise the scan reruns on the sorted order masked
+to the remaining fronts.  ``surface`` is a pool's initial surface, so every
+surface comes from one code path.
+
 The hypervolume is the standard dominated-region area w.r.t. the reference
 point (0, C): only points with positive reward and weight below capacity
 count, and each contributes a rectangle spanning to the next heavier
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pwt_dp import DpFront, REWARD_EQ_ATOL, staircase
+from .pwt_dp import DpFront, REWARD_EQ_ATOL, staircase, staircase_heads, staircase_order
 
 LSC = "lsc"
 LHV = "lhv"
@@ -61,28 +69,72 @@ class Surface:
 
 
 def surface(fronts) -> Surface:
-    """Surface of the union of the given DP fronts.
+    """Surface of the union of the given DP fronts (see :class:`SurfacePool`)."""
+    return SurfacePool(fronts).surface
+
+
+class SurfacePool:
+    """The surface of a shrinking set of DP fronts, sorted once.
+
+    The fronts' points are concatenated and put in ``staircase`` scan order
+    once.  ``remove(i)`` drops live front ``i`` and returns the surface of
+    the fronts that remain, equal bit for bit to :func:`surface` on them.
+
+    A *head* is a point that the running max of the scan keeps, i.e. the
+    point that stands for a surface point.  A front that holds no head has
+    every point at or below the running max before it, so dropping it
+    changes no later comparison: the surface points stay as they are and
+    only the front's membership row goes.  Only when the front holds a head
+    is the scan rerun, on the sorted order masked to the live fronts; since
+    the scan key ends in the concatenation index, that is the scan order of
+    the smaller concatenation.
 
     Every front must be a strict staircase (as ``DpFront`` guarantees), so a
     surface point matches at most one point of each front: the one with the
     same weight.
     """
-    fronts = tuple(fronts)
-    if not fronts:
-        raise ValueError("surface needs at least one front")
-    capacity = fronts[0].capacity
-    rewards = np.concatenate([f.rewards for f in fronts])
-    weights = np.concatenate([f.weights for f in fronts]).astype(np.int64)
-    keep = staircase(rewards, weights)
-    surf_r, surf_w = rewards[keep], weights[keep]
 
-    owner = np.repeat(np.arange(len(fronts)), [f.rewards.size for f in fronts])
-    at = np.minimum(np.searchsorted(surf_w, weights), surf_w.size - 1)
-    hit = (surf_w[at] == weights) & (np.abs(rewards - surf_r[at]) <= REWARD_EQ_ATOL)
-    membership = np.zeros((len(fronts), surf_r.size), bool)
-    membership[owner[hit], at[hit]] = True
-    return Surface(rewards=surf_r, weights=surf_w, membership=membership,
-                   fronts=fronts, capacity=capacity)
+    def __init__(self, fronts):
+        self._fronts = tuple(fronts)
+        if not self._fronts:
+            raise ValueError("surface needs at least one front")
+        self._rewards = np.concatenate([f.rewards for f in self._fronts])
+        self._weights = np.concatenate([f.weights for f in self._fronts]).astype(np.int64)
+        self._owner = np.repeat(np.arange(len(self._fronts)),
+                                [f.rewards.size for f in self._fronts])
+        self._order = staircase_order(self._rewards, self._weights)
+        self._ids = list(range(len(self._fronts)))   # live index -> front id
+        self.surface = self._scan()
+
+    def _scan(self) -> Surface:
+        live = np.zeros(len(self._fronts), bool)
+        live[self._ids] = True
+        heads = staircase_heads(self._rewards, self._order[live[self._owner[self._order]]])
+        self._has_head = np.zeros(live.size, bool)
+        self._has_head[self._owner[heads]] = True
+        surf_r, surf_w = self._rewards[heads], self._weights[heads]
+
+        # rows of removed fronts are built too, then dropped
+        at = np.minimum(np.searchsorted(surf_w, self._weights), surf_w.size - 1)
+        hit = (surf_w[at] == self._weights) \
+            & (np.abs(self._rewards - surf_r[at]) <= REWARD_EQ_ATOL)
+        membership = np.zeros((live.size, surf_r.size), bool)
+        membership[self._owner[hit], at[hit]] = True
+        return Surface(rewards=surf_r, weights=surf_w, membership=membership[live],
+                       fronts=tuple(self._fronts[f] for f in self._ids),
+                       capacity=self._fronts[0].capacity)
+
+    def remove(self, i: int) -> Surface:
+        """Drop live front ``i`` (its index in ``surface.fronts``)."""
+        if self._has_head[self._ids.pop(i)]:
+            self.surface = self._scan()
+        else:
+            s = self.surface
+            self.surface = Surface(rewards=s.rewards, weights=s.weights,
+                                   membership=np.delete(s.membership, i, axis=0),
+                                   fronts=s.fronts[:i] + s.fronts[i + 1:],
+                                   capacity=s.capacity)
+        return self.surface
 
 
 def hypervolume(pts, capacity) -> float:

@@ -75,7 +75,21 @@ def staircase(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
     heavy, better-ranked) point.  Among points equal in both coordinates the
     earliest index wins.  Rewards must not be NaN.
     """
-    order = np.lexsort((np.arange(rewards.size), -rewards, weights))
+    return staircase_heads(rewards, staircase_order(rewards, weights))
+
+
+def staircase_order(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The order :func:`staircase` scans points in: weight ascending, then
+    reward descending, then index ascending."""
+    return np.lexsort((np.arange(rewards.size), -rewards, weights))
+
+
+def staircase_heads(rewards: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The entries of ``order`` whose reward beats every reward before them.
+
+    On a subsequence of :func:`staircase_order` (the points of a subset, in
+    their scan order) this is exactly the staircase of that subset.
+    """
     b = rewards[order]
     keep = np.ones(b.size, bool)
     keep[1:] = b[1:] > np.maximum.accumulate(b[:-1])

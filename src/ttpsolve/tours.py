@@ -7,6 +7,8 @@ city 1.  Positions in operator signatures are 1-based as well, so position
 1 is the fixed depot slot.
 """
 
+import numbers
+
 import numpy as np
 
 from . import _kernels
@@ -18,13 +20,23 @@ P_RANDOM_DEFAULT = 0.02
 
 
 def make_tour(cities) -> np.ndarray:
+    """The tour of a sequence of 1-based city numbers, which must be integers
+    (not bools, and not floats even when whole)."""
+    if isinstance(cities, np.ndarray):
+        if cities.dtype.kind not in "iu":
+            raise ValueError(f"city numbers must be integers, not {cities.dtype}")
+    else:
+        cities = list(cities)
+        for c in cities:
+            if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+                raise ValueError(f"city numbers must be integers, not {c!r}")
     t = np.asarray(cities, np.int64)
     check_tour(t)
     return t
 
 
 def check_tour(t: np.ndarray):
-    if t[0] != 1:
+    if t.size == 0 or t[0] != 1:
         raise ValueError("tour must start at city 1")
     if len(np.unique(t)) != t.size or t.min() != 1 or t.max() != t.size:
         raise ValueError("tour is not a permutation of 1..n")

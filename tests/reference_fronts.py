@@ -1,7 +1,9 @@
 """Loop-based front algebra kept as the reference for the vectorised code.
 
 ``surface``, ``all_indicators``, ``_hv`` and ``ReferenceArchive.add`` are
-the original one-point-at-a-time Pareto loops and per-front indicator loop.
+the original one-point-at-a-time Pareto loops and per-front indicator loop;
+``trim`` is IBEA's survivor trimming with a fresh surface after every
+removal.
 The property tests in ``test_fronts_reference.py`` require the production
 code in ``ttpsolve.fronts`` and ``ttpsolve.evolve`` to reproduce them bit
 for bit.  Do not optimise this file.
@@ -71,6 +73,24 @@ def all_indicators(s: Surface, kind: str) -> np.ndarray:
         rest = ~(s.membership[fi] & sole)
         out[fi] = 1.0 - _hv(s.rewards[rest], s.weights[rest], s.capacity) / total
     return out
+
+
+def trim(pop, mu, rng, kind):
+    """Survivors of removing a minimal-value individual until ``mu`` remain.
+
+    Ties break by ``rng.choice``; after every removal but the last, the rest
+    are rescored against the surface of their fronts, built from scratch.
+    The first removal reads the incoming ``ind.value``s, which stay as they
+    are.
+    """
+    pop = list(pop)
+    values = np.array([ind.value for ind in pop])
+    while len(pop) > mu:
+        gone = int(rng.choice(np.flatnonzero(values == values.min())))
+        pop.pop(gone)
+        if len(pop) > mu:
+            values = all_indicators(surface([ind.front for ind in pop]), kind)
+    return pop
 
 
 class ReferenceArchive:

@@ -332,7 +332,7 @@ NON_DEFAULT_CONFIG = {
     "mu": 4, "generations": 3, "lam": 3, "indicator": "lsc", "selection": "uar",
     "crossover_prob": 0.5, "mutation_split": 0.25, "tournament_size": 3,
     "both_orientations": True, "seeding_generations": 5, "seeding_p_random": 0.5,
-    "recompute_on_removal": False, "dp_cache_size": 64, "debug_check_cache": True,
+    "dp_cache_size": 64, "debug_check_cache": True,
 }
 
 
@@ -391,6 +391,8 @@ def _write_cli_inputs(tmp_path):
         json.dumps({"label": "L", "instance": "tiny4", "repetitions": []}))
     (tmp_path / "int_tour.json").write_text("[1]")
     (tmp_path / "not_list.json").write_text("5")
+    (tmp_path / "float_city.json").write_text("[[1, 2.7, 3, 4]]")
+    (tmp_path / "empty_tour.json").write_text("[[]]")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -406,6 +408,13 @@ def _write_cli_inputs(tmp_path):
      "generations must be >= 0"),
     (["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--p-random", "2"],
      "p_random must lie in [0, 1]"),
+    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+      "{tmp}/float_city.json"], "city numbers must be integers, not 2.7"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps", "{tmp}/empty_run"],
+     "takes one --records dir, got 2"),
+    (["summarize", "--records", "{tmp}/no_reps", "--baseline", "L"], "no rep_*.jsonl"),
+    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+      "{tmp}/empty_tour.json"], "tour must start at city 1"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

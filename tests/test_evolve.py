@@ -43,7 +43,7 @@ def test_survivor_select_removes_min(tiny4):
     pop = _pop(tiny4, [[1, 2, 3, 4], [1, 4, 3, 2], [1, 3, 2, 4]])
     for ind, v in zip(pop, (0.9, 0.5, 0.1)):
         ind.value = v
-    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv", recompute=False)
+    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv")
     assert len(out) == 2
     assert all(ind is not pop[2] for ind in out)
 
@@ -61,8 +61,7 @@ def test_survivor_tie_break_uniform(tiny4):
         pop = _pop(tiny4, [[1, 2, 3, 4]] * 3)
         for ind in pop:
             ind.value = 0.5
-        out = survivor_select(pop, 2, np.random.default_rng(trial), "lhv",
-                              recompute=False)
+        out = survivor_select(pop, 2, np.random.default_rng(trial), "lhv")
         kept = {id(i) for i in out}
         gone = next(k for k, ind in enumerate(pop) if id(ind) not in kept)
         removed[gone] += 1

@@ -58,6 +58,14 @@ AT_TOLERANCE = [make_front([0.0, 5.0], [0, 2], 4),
                 make_front([REWARD_EQ_ATOL, 6.0], [0, 3], 4)]
 
 
+# every front holds a head (a point that stands for a surface point), so the
+# first removal always reruns the pool's scan; removing the second front
+# uncovers the first's (4, 2)
+HEAD_REMOVED = [make_front([2.0, 4.0], [0, 2], 4),
+                make_front([0.0, 5.0], [0, 2], 4),
+                make_front([1.0, 6.0], [0, 3], 4)]
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -78,6 +86,56 @@ def test_surface_and_indicators_match_reference(pop):
         assert values.dtype == expect.dtype
         assert values.tolist() == expect.tolist()
         assert [fronts.indicator(got, i, kind) for i in range(len(pop))] == expect.tolist()
+
+
+def assert_same_surface(got, want):
+    assert_same_array(got.rewards, want.rewards)
+    assert_same_array(got.weights, want.weights)
+    assert_same_array(got.membership, want.membership)
+    assert all(g is w for g, w in zip(got.fronts, want.fronts, strict=True))
+
+
+@st.composite
+def removals(draw):
+    """A population and a live index for each removal, down to one front."""
+    pop = draw(populations())
+    return pop, [draw(st.integers(0, k - 1)) for k in range(len(pop), 1, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(removals())
+@example((HEAD_REMOVED, [1, 0]))
+def test_pool_removals_match_reference(case):
+    pop, order = case
+    pool, live = fronts.SurfacePool(pop), list(pop)
+    assert_same_surface(pool.surface, ref.surface(live))
+    for i in order:
+        live.pop(i)
+        assert_same_surface(pool.remove(i), ref.surface(live))
+
+
+@st.composite
+def trimmings(draw):
+    pop = draw(populations())
+    return pop, draw(st.integers(0, len(pop) - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trimmings())
+@example((HEAD_REMOVED, 1, 0))
+@example((HEAD_REMOVED, 0, 7))
+def test_trimming_matches_reference(case):
+    """Same survivors in the same order, and the same tie-break draws."""
+    front_list, mu, seed = case
+    for kind in fronts.INDICATOR_KINDS:
+        values = ref.all_indicators(ref.surface(front_list), kind)
+        pop = [evolve.Individual(tour=f.tour, front=f, value=float(v))
+               for f, v in zip(front_list, values)]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = evolve.survivor_select(pop, mu, got_rng, kind)
+        want = ref.trim(pop, mu, want_rng, kind)
+        assert [id(ind) for ind in got] == [id(ind) for ind in want]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
