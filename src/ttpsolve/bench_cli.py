@@ -278,12 +278,27 @@ def cli_run(args):
     return 0
 
 
+def read_summary(run_dir):
+    """``run_dir/summary.json``, checked for what summarize and plotdata read."""
+    path = Path(run_dir) / "summary.json"
+    with open(path) as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key, kind in (("label", str), ("instance", str), ("repetitions", list)):
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(f"{path}: {key!r} is missing or of the wrong type")
+    for i, rep in enumerate(meta["repetitions"]):
+        if not isinstance(rep, dict) or "best_reward" not in rep:
+            raise ValueError(f"{path}: repetition {i} has no 'best_reward'")
+    return meta
+
+
 def cli_summarize(args):
     record_sets = {}
     instances = set()
     for run_dir in args.records:
-        with open(Path(run_dir) / "summary.json") as fh:
-            meta = json.load(fh)
+        meta = read_summary(run_dir)
         record_sets[meta["label"]] = final_metrics(run_dir)
         instances.add(meta["instance"])
     if len(instances) > 1:
@@ -339,8 +354,7 @@ def cli_plotdata(args):
     else:  # boxplot
         labelled = {}
         for run_dir in args.records:
-            with open(Path(run_dir) / "summary.json") as fh:
-                meta = json.load(fh)
+            meta = read_summary(run_dir)
             if not meta["repetitions"]:
                 raise ValueError(f"{run_dir}: summary.json lists no repetitions")
             labelled[meta["label"]] = [r["best_reward"] for r in meta["repetitions"]]

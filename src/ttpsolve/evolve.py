@@ -2,14 +2,13 @@
 
 Each individual is a tour; its fitness is a front-level loss indicator
 computed against the surface of the whole population's DP fronts.  The
-generation loop is: indicators, survivor trim (with indicator recomputation
-after every removal, against surfaces from one ``fronts.SurfacePool`` that
-sorts the population's points once), parent selection by one of eight
-schemes, mating (order crossover + one mutation per child), then appending
-the children with freshly computed fronts.
+generation loop is: indicators and survivor trim (rescoring after every
+removal) against one ``fronts.SurfacePool`` that sorts the population's
+points once, parent selection by one of eight schemes, mating (order
+crossover + one mutation per child), then appending the children with their
+fronts from one batched DP.  No front outlives its generation's batch.
 """
 
-from collections import OrderedDict
 from dataclasses import dataclass
 import time
 
@@ -36,8 +35,6 @@ class IbeaConfig:
     both_orientations: bool = False
     seeding_generations: int = 1000
     seeding_p_random: float = tours.P_RANDOM_DEFAULT
-    dp_cache_size: int = 4096
-    debug_check_cache: bool = False
 
     def __post_init__(self):
         if self.mu < 2:
@@ -97,57 +94,27 @@ class RunResult:
 
 
 class _FrontCache:
-    """Bounded LRU of DP fronts keyed by the exact tour.
+    """The DP fronts of the last batch, keyed by the exact tour."""
 
-    ``fill`` computes the fronts of a whole generation in one batched DP;
-    ``get`` then finds them, and computes a front itself only on a miss.
-    """
-
-    def __init__(self, inst, maxsize, both_orientations):
+    def __init__(self, inst, both_orientations):
         self.inst = inst
-        self.maxsize = maxsize
         self.both = both_orientations
-        self.data = OrderedDict()
+        self.data = {}
 
     def get(self, tour):
-        key = tour.tobytes()
-        hit = self.data.get(key)
-        if hit is not None:
-            self.data.move_to_end(key)
-            return hit
-        front = _fresh_front(self.inst, tour, self.both)
-        self._store(key, front)
-        return front
+        return self.data[tour.tobytes()]
 
     def fill(self, tour_list):
-        """Compute the fronts of every tour not cached, in one DP batch."""
-        misses = {}
-        for t in tour_list:
-            key = t.tobytes()
-            if key not in self.data:
-                misses.setdefault(key, t)
-        batch = list(misses.values())
+        """Replace the batch by one DP batch over the distinct tours of ``tour_list``."""
+        distinct = {t.tobytes(): t for t in tour_list}
+        batch = list(distinct.values())
         if self.both:
             batch += [tours.reverse_tour(t) for t in batch]
         found = pwt_dp.dp_fronts(self.inst, batch)
         if self.both:
             half = len(found) // 2
             found = [pwt_dp.merge_fronts(a, b) for a, b in zip(found[:half], found[half:])]
-        for key, front in zip(misses, found):
-            self._store(key, front)
-
-    def _store(self, key, front):
-        self.data[key] = front
-        if len(self.data) > self.maxsize:
-            self.data.popitem(last=False)
-
-
-def _fresh_front(inst, tour, both_orientations):
-    """The DP front of one tour, merged with its reversal's if asked."""
-    front = pwt_dp.dp_front(inst, tour)
-    if both_orientations:
-        front = pwt_dp.merge_fronts(front, pwt_dp.dp_front(inst, tours.reverse_tour(tour)))
-    return front
+        self.data = dict(zip(distinct, found))
 
 
 def _best_solution(inst, tour, both_orientations):
@@ -163,42 +130,32 @@ def _best_solution(inst, tour, both_orientations):
     return front.tour, front.plan_items(front.rewards.size - 1)
 
 
-def _same_front(a, b):
-    return a.rewards.tobytes() == b.rewards.tobytes() and np.array_equal(a.weights, b.weights)
-
-
 def compute_indicators(pop, kind):
-    """Build the population surface and refresh every individual's value."""
-    surf = fr.surface([ind.front for ind in pop])
-    values = fr.all_indicators(surf, kind)
-    for ind, v in zip(pop, values):
+    """Score every individual against the population surface; return its pool."""
+    pool = fr.SurfacePool([ind.front for ind in pop])
+    for ind, v in zip(pop, fr.all_indicators(pool.surface, kind)):
         ind.value = float(v)
-    return surf
+    return pool
 
 
-def survivor_select(pop, mu, rng, kind):
+def survivor_select(pop, mu, rng, kind, pool):
     """Trim to ``mu`` by repeated removal of a minimal-indicator individual.
 
-    Ties break uniformly at random.  The first removal reads the incoming
-    ``ind.value``s; after every removal but the last, the surface-relative
-    indicators of the rest are recomputed, since removing a contributor
-    changes the surface.  One :class:`fronts.SurfacePool` sorts the
-    population's points once and yields each of those surfaces.  The
-    survivors come back in population order with their values stale; the
-    caller refreshes them with :func:`compute_indicators`, which also yields
-    the survivors' surface.
+    ``pool`` is the :class:`fronts.SurfacePool` of ``pop``'s fronts that
+    :func:`compute_indicators` scored them against.  Ties break uniformly at
+    random.  After every removal the rest are rescored against
+    ``pool.remove(gone)``, since removing a contributor changes the surface;
+    the survivors come back in population order with fresh values, and
+    ``pool.surface`` is their surface.
     """
     pop = list(pop)
-    if len(pop) <= mu:
-        return pop
-    pool = fr.SurfacePool([ind.front for ind in pop])
-    values = np.array([ind.value for ind in pop])
     while len(pop) > mu:
-        worst = np.flatnonzero(values == values.min())
-        gone = int(rng.choice(worst))
+        values = np.array([ind.value for ind in pop])
+        gone = int(rng.choice(np.flatnonzero(values == values.min())))
         pop.pop(gone)
-        if len(pop) > mu:
-            values = fr.all_indicators(pool.remove(gone), kind)
+        if pop:
+            for ind, v in zip(pop, fr.all_indicators(pool.remove(gone), kind)):
+                ind.value = float(v)
     return pop
 
 
@@ -325,7 +282,7 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     """
     ss = np.random.SeedSequence(cfg.seed)
     rng_seed, rng_sel, rng_mate, rng_tie = (np.random.default_rng(s) for s in ss.spawn(4))
-    cache = _FrontCache(inst, cfg.dp_cache_size, cfg.both_orientations)
+    cache = _FrontCache(inst, cfg.both_orientations)
     archive = _Archive(inst.capacity)
     t0 = time.perf_counter()
 
@@ -341,15 +298,9 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     records = []
     gen = 0
     while True:
-        if len(pop) > cfg.mu:
-            compute_indicators(pop, cfg.indicator)
-            pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator)
-        surf = compute_indicators(pop, cfg.indicator)
-        if cfg.debug_check_cache and gen % 10 == 0:
-            # draws no random numbers, so the check leaves the run unchanged
-            ind = pop[(gen // 10) % len(pop)]
-            if not _same_front(ind.front, _fresh_front(inst, ind.tour, cfg.both_orientations)):
-                raise AssertionError("DP front cache incoherent")
+        pool = compute_indicators(pop, cfg.indicator)
+        pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator, pool)
+        surf = pool.surface
         rec = RunRecord(
             generation=gen,
             surface_points=list(zip(surf.rewards.tolist(), surf.weights.tolist())),

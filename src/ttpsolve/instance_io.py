@@ -57,7 +57,9 @@ class Instance:
                            np.array([it.weight for it in self.items], np.int64))
         object.__setattr__(self, "item_node",
                            np.array([it.node for it in self.items], np.int64))
-        if self.dist_matrix is None and self.n <= MATRIX_THRESHOLD:
+        # coordinates that are not finite or span too far give no int64 matrix
+        if self.dist_matrix is None and self.n <= MATRIX_THRESHOLD \
+                and not _range_violations(self.coords, ()):
             object.__setattr__(self, "dist_matrix", _ceil2d_matrix(self.coords))
 
 

@@ -292,12 +292,9 @@ def best_reward(f: DpFront) -> float:
 
 
 def merge_fronts(a: DpFront, b: DpFront) -> DpFront:
-    """Pareto merge of two fronts, keeping ``a``'s tour and, if both have them, plans."""
+    """Pareto merge of two fronts' points, keeping ``a``'s tour; carries no plans."""
     rewards = np.concatenate((a.rewards, b.rewards))
     weights = np.concatenate((a.weights, b.weights))
     keep = staircase(rewards, weights)
-    packed = None
-    if a.plans_packed is not None and b.plans_packed is not None:
-        packed = np.concatenate((a.plans_packed, b.plans_packed))[keep]
     return DpFront(tour=a.tour.copy(), rewards=rewards[keep], weights=weights[keep],
-                   plans_packed=packed, m=a.m, capacity=a.capacity)
+                   plans_packed=None, m=a.m, capacity=a.capacity)

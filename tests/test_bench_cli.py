@@ -262,7 +262,8 @@ def test_cli_config_file_accepts_null_lam_and_integer_probability(tiny4_file, tm
 def test_cli_summarize_empty_record_file(tmp_path, capsys):
     run_dir = tmp_path / "empty"
     run_dir.mkdir()
-    (run_dir / "summary.json").write_text(json.dumps({"label": "L", "instance": "tiny4"}))
+    (run_dir / "summary.json").write_text(
+        json.dumps({"label": "L", "instance": "tiny4", "repetitions": []}))
     (run_dir / "rep_000.jsonl").write_text("")
     rc = main(["summarize", "--records", str(run_dir), "--baseline", "L"])
     assert rc == 2
@@ -332,7 +333,6 @@ NON_DEFAULT_CONFIG = {
     "mu": 4, "generations": 3, "lam": 3, "indicator": "lsc", "selection": "uar",
     "crossover_prob": 0.5, "mutation_split": 0.25, "tournament_size": 3,
     "both_orientations": True, "seeding_generations": 5, "seeding_p_random": 0.5,
-    "dp_cache_size": 64, "debug_check_cache": True,
 }
 
 
@@ -384,11 +384,19 @@ def test_cli_run_capacity_beyond_batch_key(tmp_path, capsys):
 
 
 def _write_cli_inputs(tmp_path):
-    (tmp_path / "no_reps").mkdir()
-    (tmp_path / "no_reps" / "summary.json").write_text(json.dumps({"label": "L"}))
-    (tmp_path / "empty_run").mkdir()
-    (tmp_path / "empty_run" / "summary.json").write_text(
-        json.dumps({"label": "L", "instance": "tiny4", "repetitions": []}))
+    summaries = {
+        "no_reps": {"label": "L", "instance": "tiny4", "repetitions": [{"best_reward": 1.0}]},
+        "empty_run": {"label": "L", "instance": "tiny4", "repetitions": []},
+        "list_summary": [1, 2],
+        "no_label": {"instance": "tiny4", "repetitions": []},
+        "no_instance": {"label": "L", "repetitions": []},
+        "no_repetitions": {"label": "L", "instance": "tiny4"},
+        "rep_without_reward": {"label": "L", "instance": "tiny4",
+                               "repetitions": [{"best_reward": 1.0}, {"seed": 2}]},
+    }
+    for name, doc in summaries.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(doc))
     (tmp_path / "int_tour.json").write_text("[1]")
     (tmp_path / "not_list.json").write_text("5")
     (tmp_path / "float_city.json").write_text("[[1, 2.7, 3, 4]]")
@@ -415,6 +423,18 @@ def _write_cli_inputs(tmp_path):
     (["summarize", "--records", "{tmp}/no_reps", "--baseline", "L"], "no rep_*.jsonl"),
     (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
       "{tmp}/empty_tour.json"], "tour must start at city 1"),
+    (["summarize", "--records", "{tmp}/list_summary", "--baseline", "L"],
+     "list_summary/summary.json: expected a JSON object"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/list_summary"],
+     "list_summary/summary.json: expected a JSON object"),
+    (["summarize", "--records", "{tmp}/no_label", "--baseline", "L"],
+     "no_label/summary.json: 'label' is missing"),
+    (["summarize", "--records", "{tmp}/no_instance", "--baseline", "L"],
+     "no_instance/summary.json: 'instance' is missing"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/no_repetitions"],
+     "no_repetitions/summary.json: 'repetitions' is missing"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/rep_without_reward"],
+     "rep_without_reward/summary.json: repetition 1 has no 'best_reward'"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

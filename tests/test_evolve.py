@@ -3,13 +3,14 @@ import pytest
 
 from conftest import INSTANCES
 
+from ttpsolve import fronts, pwt_dp
 from ttpsolve.evolve import (
-    IbeaConfig, Individual, compute_indicators, mate, parent_select, run_ibea,
+    IbeaConfig, Individual, _FrontCache, compute_indicators, mate, parent_select, run_ibea,
     selection_probabilities, survivor_select,
 )
 from ttpsolve.instance_io import parse_instance
-from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate
-from ttpsolve.tours import is_valid_tour, make_tour
+from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate, merge_fronts
+from ttpsolve.tours import is_valid_tour, make_tour, reverse_tour
 
 TINY4_OPT = 19.348214285714285
 
@@ -17,6 +18,10 @@ TINY4_OPT = 19.348214285714285
 def _pop(tiny4, tours_):
     return [Individual(tour=make_tour(t), front=dp_front(tiny4, make_tour(t)))
             for t in tours_]
+
+
+def _pool(pop):
+    return fronts.SurfacePool([ind.front for ind in pop])
 
 
 def test_compute_indicators_pair(tiny4):
@@ -43,15 +48,15 @@ def test_survivor_select_removes_min(tiny4):
     pop = _pop(tiny4, [[1, 2, 3, 4], [1, 4, 3, 2], [1, 3, 2, 4]])
     for ind, v in zip(pop, (0.9, 0.5, 0.1)):
         ind.value = v
-    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv")
+    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv", _pool(pop))
     assert len(out) == 2
     assert all(ind is not pop[2] for ind in out)
 
 
 def test_survivor_select_identity(tiny4):
     pop = _pop(tiny4, [[1, 2, 3, 4], [1, 4, 3, 2]])
-    compute_indicators(pop, "lhv")
-    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv")
+    pool = compute_indicators(pop, "lhv")
+    out = survivor_select(pop, 2, np.random.default_rng(0), "lhv", pool)
     assert [id(i) for i in out] == [id(i) for i in pop]
 
 
@@ -61,7 +66,7 @@ def test_survivor_tie_break_uniform(tiny4):
         pop = _pop(tiny4, [[1, 2, 3, 4]] * 3)
         for ind in pop:
             ind.value = 0.5
-        out = survivor_select(pop, 2, np.random.default_rng(trial), "lhv")
+        out = survivor_select(pop, 2, np.random.default_rng(trial), "lhv", _pool(pop))
         kept = {id(i) for i in out}
         gone = next(k for k, ind in enumerate(pop) if id(ind) not in kept)
         removed[gone] += 1
@@ -168,8 +173,7 @@ def test_run_reaches_tiny4_optimum(tiny4):
 
 def test_archive_monotone_and_population_size(tiny4):
     sizes = []
-    cfg = IbeaConfig(mu=4, generations=30, seed=9, seeding_generations=20,
-                     debug_check_cache=True)
+    cfg = IbeaConfig(mu=4, generations=30, seed=9, seeding_generations=20)
     res = run_ibea(tiny4, cfg)
     best = [r.best_reward for r in res.records]
     arch = [r.archive_hv for r in res.records]
@@ -178,23 +182,59 @@ def test_archive_monotone_and_population_size(tiny4):
     assert len(res.final_population) == 4
 
 
-def _run_view(res):
-    records = [(r.generation, r.surface_points, r.population_hv, r.best_reward, r.archive_hv)
-               for r in res.records]
-    pop = [(ind.tour.tolist(), ind.value, ind.front.rewards.tobytes()) for ind in res.final_population]
-    return records, res.best_tour.tolist(), res.best_plan, pop
+def _fresh_front(inst, tour, both):
+    """The DP front of one tour, merged with its reversal's if ``both``."""
+    front = dp_front(inst, tour)
+    if both:
+        front = merge_fronts(front, dp_front(inst, reverse_tour(tour)))
+    return front
+
+
+def _assert_same_points(got, want):
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert np.array_equal(got.weights, want.weights)
 
 
 @pytest.mark.parametrize("indicator", ["lhv", "lsc"])
 @pytest.mark.parametrize("both", [False, True])
-def test_debug_check_cache_leaves_run_unchanged(tiny4, indicator, both):
+def test_final_population_fronts_values_and_surface(tiny4, indicator, both):
+    """Every final front is its tour's own DP front; the values and the last
+    record's surface are those of the final population."""
     eil51 = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
     for inst, seed in ((tiny4, 3), (eil51, 1)):
-        runs = [run_ibea(inst, IbeaConfig(mu=6, generations=21, seed=seed, seeding_generations=20,
-                                          indicator=indicator, both_orientations=both,
-                                          debug_check_cache=check))
-                for check in (False, True)]
-        assert _run_view(runs[0]) == _run_view(runs[1])
+        res = run_ibea(inst, IbeaConfig(mu=6, generations=21, seed=seed, seeding_generations=20,
+                                        indicator=indicator, both_orientations=both))
+        pop = res.final_population
+        for ind in pop:
+            assert ind.front.tour.tolist() == ind.tour.tolist()
+            _assert_same_points(ind.front, _fresh_front(inst, ind.tour, both))
+        surf = fronts.surface([ind.front for ind in pop])
+        assert [ind.value for ind in pop] == fronts.all_indicators(surf, indicator).tolist()
+        assert res.records[-1].surface_points == surf.points
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_fill_computes_each_distinct_tour_once(tiny4, monkeypatch, both):
+    batches, dp_fronts = [], pwt_dp.dp_fronts
+
+    def recording_dp_fronts(inst, batch):
+        batches.append([t.tolist() for t in batch])
+        return dp_fronts(inst, batch)
+
+    monkeypatch.setattr(pwt_dp, "dp_fronts", recording_dp_fronts)
+    a, b = make_tour([1, 2, 3, 4]), make_tour([1, 3, 2, 4])
+    cache = _FrontCache(tiny4, both)
+    cache.fill([a, b, a.copy(), b, a])
+    want = [[1, 2, 3, 4], [1, 3, 2, 4]]
+    if both:
+        want += [[1, 4, 3, 2], [1, 4, 2, 3]]
+    assert batches == [want]
+    for t in (a, b):
+        _assert_same_points(cache.get(t.copy()), _fresh_front(tiny4, t, both))
+    # the next batch replaces this one
+    cache.fill([b])
+    with pytest.raises(KeyError):
+        cache.get(a)
 
 
 @pytest.mark.parametrize("both", [False, True])

@@ -125,17 +125,25 @@ def trimmings(draw):
 @example((HEAD_REMOVED, 1, 0))
 @example((HEAD_REMOVED, 0, 7))
 def test_trimming_matches_reference(case):
-    """Same survivors in the same order, and the same tie-break draws."""
+    """Same survivors in the same order, and the same tie-break draws; the
+    survivors' values and the pool's surface are those of the survivors."""
     front_list, mu, seed = case
     for kind in fronts.INDICATOR_KINDS:
         values = ref.all_indicators(ref.surface(front_list), kind)
         pop = [evolve.Individual(tour=f.tour, front=f, value=float(v))
                for f, v in zip(front_list, values)]
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = evolve.survivor_select(pop, mu, got_rng, kind)
+        # the reference first: the trimming rescores the survivors in place
         want = ref.trim(pop, mu, want_rng, kind)
+        pool = fronts.SurfacePool(front_list)
+        got = evolve.survivor_select(pop, mu, got_rng, kind, pool)
         assert [id(ind) for ind in got] == [id(ind) for ind in want]
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if got:
+            surf = ref.surface([ind.front for ind in got])
+            want_values = ref.all_indicators(surf, kind)
+            assert np.array([ind.value for ind in got]).tobytes() == want_values.tobytes()
+            assert_same_surface(pool.surface, surf)
 
 
 @settings(max_examples=200, deadline=None)

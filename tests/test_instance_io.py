@@ -230,9 +230,15 @@ def test_parse_rejects_values_beyond_int64(old, new, match):
 
 
 def test_validate_reports_values_beyond_int64(tiny4):
-    far = make_instance("far", [(0, 0), (0, 3), (4, 3), (2e18, 0)], list(tiny4.items),
-                        5, 0.1, 1.0, 1.0)
-    assert validate(far)[0].startswith("coordinates span too far")
+    """Bad coordinates build no distance matrix, so no cast warns on the way."""
+    for x, problem in ((2e18, "coordinates span too far"), (1e150, "coordinates span too far"),
+                       (float("nan"), "coordinates must be finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = make_instance("far", [(0, 0), (0, 3), (4, 3), (x, 0)], list(tiny4.items),
+                                5, 0.1, 1.0, 1.0)
+            assert validate(far)[0].startswith(problem)
+        assert far.dist_matrix is None
 
 
 _BODY_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**20, 10**20),

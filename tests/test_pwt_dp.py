@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ttpsolve.instance_io import Item, make_instance, parse_instance
 from ttpsolve.pwt_dp import (
-    DpFront, _dp_columns, _pack_plans, best_reward, brute_force_front, dp_front,
-    dp_fronts, evaluate, merge_fronts, staircase,
+    _dp_columns, best_reward, brute_force_front, dp_front, dp_fronts, evaluate, merge_fronts,
+    staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour
 
@@ -187,16 +187,6 @@ def test_staircase_ties_earliest_wins():
     assert staircase(np.zeros(0), np.zeros(0, np.int64)).tolist() == []
 
 
-def test_merge_fronts_tie_keeps_first_plan():
-    def front(plan):
-        return DpFront(tour=make_tour(FWD), rewards=np.array([6.5]),
-                       weights=np.array([3], np.int64),
-                       plans_packed=_pack_plans(np.array([plan], bool)), m=2, capacity=5)
-    a, b = front([True, False]), front([False, True])
-    assert merge_fronts(a, b).plans.tolist() == [[True, False]]
-    assert merge_fronts(b, a).plans.tolist() == [[False, True]]
-
-
 @st.composite
 def batch_inputs(draw):
     """A small instance plus a batch of its tours.
@@ -256,11 +246,11 @@ def test_dp_fronts_front_has_no_plans(tiny4):
     for use in (lambda: f.plans, lambda: f.plan_items(0), f.to_json):
         with pytest.raises(ValueError, match="use dp_front"):
             use()
-    # merging keeps plans only when both fronts have them
+    # merging carries no plans, even when both fronts have them
     g = dp_front(tiny4, make_tour(REV))
     assert merge_fronts(f, g).plans_packed is None
     assert merge_fronts(g, f).plans_packed is None
-    assert merge_fronts(g, g).plans.tolist() == g.plans.tolist()
+    assert merge_fronts(g, g).plans_packed is None
 
 
 def test_dp_fronts_eil51_mixed_widths():
