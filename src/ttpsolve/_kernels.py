@@ -14,7 +14,10 @@ the scalar merge's ``old_b[i] >= tb[j]`` pick, so both merges equal it
 ``numpy.random.RandomState(seed)`` from raw 32-bit words drawn in bulk,
 applying RandomState's own masked rejection for ``randint`` and its
 two-word formula for ``random_sample`` (the legacy stream is frozen, so the
-replay is exact).
+replay is exact).  It keeps no position lists: the current city's index is
+carried from draw to draw (a reversal puts the partner city right after
+it) and the other indices come from ``list.index`` scans, so a reversal is
+one slice assignment with no per-city bookkeeping.
 """
 
 import numpy as np
@@ -179,7 +182,6 @@ def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
     ps, n = pop.shape
     d = dist.tolist()
     tours = pop.tolist()
-    pos = np.argsort(pop, axis=1).tolist()
     lengths = [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)]
     rng = _RandomStateReplay(seed)
     random_city = rng.randint_of(n)
@@ -188,47 +190,43 @@ def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
     for _ in range(generations):
         for s in range(ps):
             cur = tours[s][:]
-            curpos = pos[s][:]
             delta = 0
-            c = cur[random_city()]
+            i = random_city()
+            c = cur[i]
             while True:
                 if random_sample() <= p_random:
-                    c2 = cur[random_city()]
-                    while c2 == c:
-                        c2 = cur[random_city()]
+                    j = random_city()
+                    while cur[j] == c:
+                        j = random_city()
+                    c2 = cur[j]
                 else:
                     other = random_other()
                     while other == s:
                         other = random_other()
-                    c2 = tours[other][(pos[other][c] + 1) % n]
-                i = curpos[c]
+                    o = tours[other]
+                    c2 = o[(o.index(c) + 1) % n]
+                    j = cur.index(c2)
                 succ = cur[(i + 1) % n]
                 if c2 == succ or c2 == cur[i - 1]:
                     break
-                j = curpos[c2]
                 nxt2 = cur[(j + 1) % n]
                 delta += d[c][c2] + d[succ][nxt2] - d[c][succ] - d[c2][nxt2]
-                # reverse the cyclic segment succ(c) .. c2 in place
+                # reverse the cyclic segment succ(c) .. c2 in place; c2
+                # lands next to c, at i + 1
                 a = (i + 1) % n
                 if a <= j:
-                    cur[a:j + 1] = cur[a:j + 1][::-1]
-                    for k in range(a, j + 1):
-                        curpos[cur[k]] = k
+                    cur[a:j + 1] = cur[j:a - 1:-1] if a else cur[j::-1]
                 else:
                     seg = cur[a:] + cur[:j + 1]
                     seg.reverse()
                     cur[a:] = seg[:n - a]
                     cur[:j + 1] = seg[n - a:]
-                    for k in range(a, n):
-                        curpos[cur[k]] = k
-                    for k in range(j + 1):
-                        curpos[cur[k]] = k
+                i = a
                 c = c2
             if delta <= 0:
                 if hook is not None:
                     hook(lengths[s], lengths[s] + delta)
                 tours[s] = cur
-                pos[s] = curpos
                 lengths[s] += delta
     pop[:] = tours
     return np.array(lengths, np.int64)

@@ -88,9 +88,31 @@ def write_records(path, records):
             fh.write(json.dumps(rec.to_json_dict()) + "\n")
 
 
-def read_records(path):
+def _invalid_json(where, exc):
+    return ValueError(f"{where}: invalid JSON ({exc.msg} at column {exc.colno})")
+
+
+def read_json(path):
+    """The JSON document in ``path``; a malformed one raises a ValueError naming the file."""
     with open(path) as fh:
-        return [json.loads(ln) for ln in fh if ln.strip()]
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _invalid_json(f"{path}, line {exc.lineno}", exc) from None
+
+
+def read_records(path):
+    """The records of a JSONL file; a malformed line raises a ValueError naming
+    the file and the line."""
+    records = []
+    with open(path) as fh:
+        for lineno, ln in enumerate(fh, 1):
+            if ln.strip():
+                try:
+                    records.append(json.loads(ln))
+                except json.JSONDecodeError as exc:
+                    raise _invalid_json(f"{path}, line {lineno}", exc) from None
+    return records
 
 
 def final_metrics(run_dir):
@@ -281,8 +303,7 @@ def cli_run(args):
 def read_summary(run_dir):
     """``run_dir/summary.json``, checked for what summarize and plotdata read."""
     path = Path(run_dir) / "summary.json"
-    with open(path) as fh:
-        meta = json.load(fh)
+    meta = read_json(path)
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for key, kind in (("label", str), ("instance", str), ("repetitions", list)):
@@ -330,8 +351,7 @@ def cli_plotdata(args):
             raise ValueError("plotdata --mode fronts needs --instance and --tours")
         with open(args.instance) as fh:
             inst = parse_instance(fh.read())
-        with open(args.tours) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.tours)
         if not isinstance(doc, list):
             raise ValueError(f"{args.tours}: expected a JSON list of tours")
         tour_list = [_instance_tour(inst, t) for t in doc]

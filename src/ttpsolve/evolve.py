@@ -7,6 +7,11 @@ removal) against one ``fronts.SurfacePool`` that sorts the population's
 points once, parent selection by one of eight schemes, mating (order
 crossover + one mutation per child), then appending the children with their
 fronts from one batched DP.  No front outlives its generation's batch.
+
+The trim skips the rescoring after removing a front that holds no surface
+point (an empty membership row), which is most removals: such a front
+changes neither the surface points nor any other front's membership, so
+every indicator stays the same bit for bit and only its own value goes.
 """
 
 from dataclasses import dataclass
@@ -147,15 +152,23 @@ def survivor_select(pop, mu, rng, kind, pool):
     ``pool.remove(gone)``, since removing a contributor changes the surface;
     the survivors come back in population order with fresh values, and
     ``pool.surface`` is their surface.
+
+    A removed front whose membership row is empty contributes no surface
+    point: the surface points, every column sum and so every exclusive set
+    and the HV total stay as they were, so rescoring would give the rest
+    the same values bit for bit.  Such a removal only drops its value.
     """
     pop = list(pop)
+    values = np.array([ind.value for ind in pop])
     while len(pop) > mu:
-        values = np.array([ind.value for ind in pop])
         gone = int(rng.choice(np.flatnonzero(values == values.min())))
         pop.pop(gone)
         if pop:
-            for ind, v in zip(pop, fr.all_indicators(pool.remove(gone), kind)):
-                ind.value = float(v)
+            contributed = pool.surface.membership[gone].any()
+            surf = pool.remove(gone)
+            values = fr.all_indicators(surf, kind) if contributed else np.delete(values, gone)
+    for ind, v in zip(pop, values.tolist()):
+        ind.value = v
     return pop
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .instance_io import Instance
-from .tours import tour_length
+from .tours import _legs, tour_length
 
 REWARD_RTOL = 1e-9       # oracle-equivalence tolerance on rewards
 REWARD_EQ_ATOL = 1e-6    # cross-front point-equality tolerance
@@ -142,18 +142,8 @@ def _item_order(inst: Instance, t: np.ndarray) -> np.ndarray:
 
 def _suffix_rdist(inst: Instance, t: np.ndarray) -> np.ndarray:
     """suffix[i] = rent-weighted distance of legs leaving positions i..n-1."""
-    p = t - 1
-    legs = (inst.dist_matrix[p, np.roll(p, -1)]
-            if inst.dist_matrix is not None else
-            np.array([  # fallback for on-demand distances
-                _leg(inst, t, i) for i in range(inst.n)], np.int64))
-    suffix = np.concatenate((np.cumsum(legs[::-1])[::-1], [0]))
+    suffix = np.concatenate((np.cumsum(_legs(inst, t)[::-1])[::-1], [0]))
     return inst.rent * suffix.astype(np.float64)
-
-
-def _leg(inst, t, i):
-    from .instance_io import distance
-    return distance(inst, int(t[i]), int(t[(i + 1) % inst.n]))
 
 
 def _base_column(inst: Instance, t: np.ndarray):
@@ -230,18 +220,23 @@ def dp_fronts(inst: Instance, tours) -> list:
     if n_seg * (cap + 1) >= 2**63:
         raise ValueError(f"dp_fronts: {n_seg} tours at capacity {cap} overflow the int64 sort "
                          "key (needs tours x (min(capacity, total item weight) + 1) < 2**63)")
-    orders = np.array([_item_order(inst, t) for t in tours], np.int64).reshape(n_seg, inst.m)
-    rd_rows = np.empty((n_seg, inst.m))
-    for s, t in enumerate(tours):
-        pos_of_city = np.empty(inst.n + 1, np.int64)
-        pos_of_city[t] = np.arange(inst.n)
-        rd_rows[s] = _suffix_rdist(inst, t)[pos_of_city[inst.item_node[orders[s]]]]
+    # the set-up of _item_order, _suffix_rdist and _base_column, one row per tour:
+    # a stable sort of item positions is _item_order's lexsort, and the legs
+    # and their sums stay integers until the rent factor, as there
+    tour_mat = np.array(tours, np.int64).reshape(n_seg, inst.n)
+    rows = np.arange(n_seg)[:, None]
+    pos_of_city = np.empty((n_seg, inst.n + 1), np.int64)
+    pos_of_city[rows, tour_mat] = np.arange(inst.n)
+    item_pos = pos_of_city[:, inst.item_node]
+    orders = np.argsort(item_pos, axis=1, kind="stable")
+    suffix = np.cumsum(_legs(inst, tour_mat)[:, ::-1], axis=1)[:, ::-1]
+    rd_rows = inst.rent * suffix[rows, item_pos[rows, orders]].astype(np.float64)
     item_w = inst.item_weight[orders]
     item_p = inst.item_profit[orders].astype(np.float64)
 
     seg = np.arange(n_seg)
     w = np.zeros(n_seg, np.int64)
-    b = np.array([-inst.rent * tour_length(inst, t) / inst.vmax for t in tours], np.float64)
+    b = -inst.rent * suffix[:, 0] / inst.vmax
     for j in range(inst.m):
         w, b, seg = _kernels.dp_merge_segments(
             w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)
@@ -270,10 +265,7 @@ def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
     pos_of_city = np.empty(inst.n + 1, np.int64)
     pos_of_city[t] = np.arange(inst.n)
     item_pos = pos_of_city[inst.item_node] if m else np.zeros(0, np.int64)
-    p = t - 1
-    legs = (inst.dist_matrix[p, np.roll(p, -1)]
-            if inst.dist_matrix is not None else
-            np.array([_leg(inst, t, i) for i in range(inst.n)], np.int64))
+    legs = _legs(inst, t)
     # collected[i, pos] = weight on board when leaving tour position pos
     onboard = (packs[:, None, :] * (item_pos[None, None, :] <= np.arange(inst.n)[None, :, None])) \
         @ inst.item_weight if m else np.zeros((packs.shape[0], inst.n), np.int64)

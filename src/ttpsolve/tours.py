@@ -56,14 +56,19 @@ def _dist_matrix(inst: Instance) -> np.ndarray:
     return _ceil2d_matrix(inst.coords)
 
 
-def tour_length(inst: Instance, t: np.ndarray) -> int:
+def _legs(inst: Instance, t: np.ndarray) -> np.ndarray:
+    """int64 lengths of the legs leaving each position of tour ``t``, or of
+    each row of a ``(tours, n)`` tour matrix; without a distance matrix each
+    leg is one :func:`instance_io.distance` call."""
+    nxt = np.roll(t, -1, axis=-1)
     if inst.dist_matrix is not None:
-        p = t - 1
-        return int(inst.dist_matrix[p, np.roll(p, -1)].sum())
-    total = 0
-    for a, b in zip(t, np.roll(t, -1)):
-        total += distance(inst, int(a), int(b))
-    return total
+        return inst.dist_matrix[t - 1, nxt - 1]
+    pairs = zip(t.ravel().tolist(), nxt.ravel().tolist())
+    return np.array([distance(inst, a, b) for a, b in pairs], np.int64).reshape(t.shape)
+
+
+def tour_length(inst: Instance, t: np.ndarray) -> int:
+    return int(_legs(inst, t).sum())
 
 
 def reverse_tour(t: np.ndarray) -> np.ndarray:

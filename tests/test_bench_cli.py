@@ -401,6 +401,14 @@ def _write_cli_inputs(tmp_path):
     (tmp_path / "not_list.json").write_text("5")
     (tmp_path / "float_city.json").write_text("[[1, 2.7, 3, 4]]")
     (tmp_path / "empty_tour.json").write_text("[[]]")
+    (tmp_path / "bad_json").mkdir()
+    (tmp_path / "bad_json" / "summary.json").write_text("{oops")
+    (tmp_path / "bad_jsonl").mkdir()
+    (tmp_path / "bad_jsonl" / "summary.json").write_text(json.dumps(summaries["no_reps"]))
+    record = {"generation": 0, "population_hv": 1.0, "best_reward": 1.0, "archive_hv": 1.0}
+    (tmp_path / "bad_jsonl" / "rep_000.jsonl").write_text(
+        json.dumps(record) + "\n\n" + '{"generation": 1,\n')
+    (tmp_path / "bad_tours.json").write_text("[[1, 2,\n 3")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -435,6 +443,16 @@ def _write_cli_inputs(tmp_path):
      "no_repetitions/summary.json: 'repetitions' is missing"),
     (["plotdata", "--mode", "boxplot", "--records", "{tmp}/rep_without_reward"],
      "rep_without_reward/summary.json: repetition 1 has no 'best_reward'"),
+    (["summarize", "--records", "{tmp}/bad_json", "--baseline", "L"],
+     "bad_json/summary.json, line 1: invalid JSON (Expecting property name"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/bad_json"],
+     "bad_json/summary.json, line 1: invalid JSON"),
+    (["summarize", "--records", "{tmp}/bad_jsonl", "--baseline", "L"],
+     "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/bad_jsonl"],
+     "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
+    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+      "{tmp}/bad_tours.json"], "bad_tours.json, line 2: invalid JSON"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

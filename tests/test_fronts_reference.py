@@ -1,5 +1,7 @@
 """The vectorised front algebra equals the loop-based reference bit for bit."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,18 @@ HEAD_REMOVED = [make_front([2.0, 4.0], [0, 2], 4),
                 make_front([1.0, 6.0], [0, 3], 4)]
 
 
+# the minimum-value fronts hold only shared surface points: A and its exact
+# copy share (1, 0) and (3, 2), which A, listed first, holds the heads of;
+# C alone holds (5, 4).  Removing the copy first is a removal of a front
+# without heads that still changes A's LHV, which becomes exclusive.
+SHARED_A = make_front([1.0, 3.0], [0, 2], 6)
+SHARED_MIN = [SHARED_A, make_front([1.0, 3.0], [0, 2], 6), make_front([0.5, 5.0], [0, 4], 6)]
+COPY_FIRST, A_FIRST = 0, 1   # seeds whose first tie-break picks index 1 / index 0
+# the third front has an empty membership row (every point is dominated),
+# so the first removal, its own, needs no rescoring; the second does
+DOMINATED = [SHARED_A, SHARED_MIN[2], make_front([0.0, 2.0], [0, 2], 6)]
+
+
 def assert_same_array(got, want):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -124,6 +138,8 @@ def trimmings(draw):
 @given(trimmings())
 @example((HEAD_REMOVED, 1, 0))
 @example((HEAD_REMOVED, 0, 7))
+@example((SHARED_MIN, 1, COPY_FIRST))
+@example((SHARED_MIN, 1, A_FIRST))
 def test_trimming_matches_reference(case):
     """Same survivors in the same order, and the same tie-break draws; the
     survivors' values and the pool's surface are those of the survivors."""
@@ -144,6 +160,40 @@ def test_trimming_matches_reference(case):
             want_values = ref.all_indicators(surf, kind)
             assert np.array([ind.value for ind in got]).tobytes() == want_values.tobytes()
             assert_same_surface(pool.surface, surf)
+
+
+def expected_rescorings(front_list, mu, seed, kind):
+    """``ref.trim``'s removals that drop a front holding a surface point
+    and leave a front to rescore."""
+    live = list(front_list)
+    values = ref.all_indicators(ref.surface(live), kind)
+    rng, count = np.random.default_rng(seed), 0
+    while len(live) > mu:
+        gone = int(rng.choice(np.flatnonzero(values == values.min())))
+        contributed = ref.surface(live).membership[gone].any()
+        live.pop(gone)
+        if live:
+            count += bool(contributed)
+            values = ref.all_indicators(ref.surface(live), kind)
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(trimmings())
+@example((SHARED_MIN, 1, COPY_FIRST))
+@example((DOMINATED, 1, 0))
+def test_trimming_rescores_only_after_contributor_removals(case):
+    """``all_indicators`` runs once per removal of a front that holds a
+    surface point and never for a front with an empty membership row."""
+    front_list, mu, seed = case
+    for kind in fronts.INDICATOR_KINDS:
+        values = fronts.all_indicators(fronts.surface(front_list), kind)
+        pop = [evolve.Individual(tour=f.tour, front=f, value=float(v))
+               for f, v in zip(front_list, values)]
+        with mock.patch.object(fronts, "all_indicators", wraps=fronts.all_indicators) as spy:
+            evolve.survivor_select(pop, mu, np.random.default_rng(seed), kind,
+                                   fronts.SurfacePool(front_list))
+        assert spy.call_count == expected_rescorings(front_list, mu, seed, kind)
 
 
 @settings(max_examples=200, deadline=None)

@@ -48,9 +48,15 @@ def assert_bit_identical(results):
        seed=st.integers(0, 2**31 - 2))
 @example(n=4, ps=2, p_random=0.02, generations=40, spread=3, layout=0, seed=0)
 @example(n=64, ps=33, p_random=1.0, generations=3, spread=100, layout=1, seed=1)
+@example(n=300, ps=3, p_random=0.02, generations=2, spread=100, layout=2, seed=3)
+@example(n=5, ps=2, p_random=0.0, generations=1, spread=100, layout=0, seed=1)
 def test_inver_over_matches_reference(n, ps, p_random, generations, spread, layout, seed):
     """Power-of-two ``n`` and ``ps`` hit the rejection mask's edge; a small
-    coordinate spread gives duplicate cities and zero-length edges."""
+    coordinate spread gives duplicate cities and zero-length edges.  At
+    n = 300 the city labels lie above CPython's small-int cache, so the
+    loop's ``list.index`` lookups match by value, not identity.  The n = 5
+    example makes one reversal, which wraps past index 0; the n = 4 one
+    reverses a segment that starts at index 0."""
     rng = np.random.default_rng(layout)
     dist = _ceil2d_matrix(rng.integers(0, spread, size=(n, 2)).astype(np.float64))
     pop = np.array([rng.permutation(n) for _ in range(ps)], np.int64)

@@ -236,6 +236,30 @@ def test_dp_fronts_equals_dp_front(args):
     assert_same_front(dp_fronts(inst, tours_[-1:])[0], got[-1])
 
 
+def test_dp_fronts_on_demand_distances(monkeypatch):
+    """Without a distance matrix (n above ``MATRIX_THRESHOLD``) every leg
+    comes from ``distance``: ``dp_fronts`` still equals ``dp_front``, and
+    both equal the fronts of the same instance with a matrix."""
+    import ttpsolve.instance_io as iio
+    rng = np.random.default_rng(7)
+    n = 9
+    coords = rng.uniform(0, 80, (n, 2))
+    items = [Item(int(rng.integers(1, 40)), int(rng.integers(1, 15)), node)
+             for node in range(2, n + 1) for _ in range(3)]
+    with_matrix = make_instance("m", coords, items, 60, 0.1, 1.0, 0.7)
+    monkeypatch.setattr(iio, "MATRIX_THRESHOLD", 0)
+    inst = make_instance("d", coords, items, 60, 0.1, 1.0, 0.7)
+    assert inst.dist_matrix is None and with_matrix.dist_matrix is not None
+    tours_ = [random_tour(rng, n) for _ in range(5)]
+    tours_.append(tours_[1])
+    got = dp_fronts(inst, tours_)
+    for t, f, g in zip(tours_, got, dp_fronts(with_matrix, tours_), strict=True):
+        assert f.rewards.size > 1
+        assert_same_front(f, dp_front(inst, t))
+        assert_same_front(f, dp_front(with_matrix, t))
+        assert_same_front(g, dp_front(with_matrix, t))
+
+
 def test_dp_fronts_empty_batch(tiny4):
     assert dp_fronts(tiny4, []) == []
 
