@@ -14,10 +14,9 @@ the scalar merge's ``old_b[i] >= tb[j]`` pick, so both merges equal it
 ``numpy.random.RandomState(seed)`` from raw 32-bit words drawn in bulk,
 applying RandomState's own masked rejection for ``randint`` and its
 two-word formula for ``random_sample`` (the legacy stream is frozen, so the
-replay is exact).  It keeps no position lists: the current city's index is
-carried from draw to draw (a reversal puts the partner city right after
-it) and the other indices come from ``list.index`` scans, so a reversal is
-one slice assignment with no per-city bookkeeping.
+replay is exact).  The current city's index ``i`` is carried from step to
+step: a reversal puts the partner city ``c2`` at ``i + 1``, which is where
+the walk goes next.  Other indices come from ``list.index``.
 """
 
 import numpy as np

@@ -7,11 +7,8 @@ removal) against one ``fronts.SurfacePool`` that sorts the population's
 points once, parent selection by one of eight schemes, mating (order
 crossover + one mutation per child), then appending the children with their
 fronts from one batched DP.  No front outlives its generation's batch.
-
-The trim skips the rescoring after removing a front that holds no surface
-point (an empty membership row), which is most removals: such a front
-changes neither the surface points nor any other front's membership, so
-every indicator stays the same bit for bit and only its own value goes.
+The trim rescores only after removals that change the surface (see
+:func:`survivor_select`).
 """
 
 from dataclasses import dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .instance_io import Instance
-from .tours import _legs, tour_length
+from .tours import _legs
 
 REWARD_RTOL = 1e-9       # oracle-equivalence tolerance on rewards
 REWARD_EQ_ATOL = 1e-6    # cross-front point-equality tolerance
@@ -133,57 +133,49 @@ def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
     return reward, weight
 
 
-def _item_order(inst: Instance, t: np.ndarray) -> np.ndarray:
-    """Items sorted by tour position of their node, then by item index."""
-    pos_of_city = np.empty(inst.n + 1, np.int64)
-    pos_of_city[t] = np.arange(inst.n)
-    return np.lexsort((np.arange(inst.m), pos_of_city[inst.item_node]))
+def _setup(inst: Instance, tour_mat: np.ndarray):
+    """The DP inputs of each row of a ``(tours, n)`` tour matrix.
+
+    Returns ``(orders, rd_rows, b)``: each tour's items sorted by the tour
+    position of their node, then by item index (a stable sort); the
+    rent-weighted distance from each ordered item's node back to the depot;
+    and the base reward, the empty packing charged with the full tour at
+    top speed.  The legs and their suffix sums stay integers until the rent
+    factor.
+    """
+    rows = np.arange(tour_mat.shape[0])[:, None]
+    pos_of_city = np.empty((tour_mat.shape[0], inst.n + 1), np.int64)
+    pos_of_city[rows, tour_mat] = np.arange(inst.n)
+    item_pos = pos_of_city[:, inst.item_node]
+    orders = np.argsort(item_pos, axis=1, kind="stable")
+    suffix = np.cumsum(_legs(inst, tour_mat)[:, ::-1], axis=1)[:, ::-1]
+    rd_rows = inst.rent * suffix[rows, item_pos[rows, orders]].astype(np.float64)
+    return orders, rd_rows, -inst.rent * suffix[:, 0] / inst.vmax
 
 
-def _suffix_rdist(inst: Instance, t: np.ndarray) -> np.ndarray:
-    """suffix[i] = rent-weighted distance of legs leaving positions i..n-1."""
-    suffix = np.concatenate((np.cumsum(_legs(inst, t)[::-1])[::-1], [0]))
-    return inst.rent * suffix.astype(np.float64)
-
-
-def _base_column(inst: Instance, t: np.ndarray):
-    """The empty packing, charged with the full tour cost at top speed."""
-    return (np.zeros(1, np.int64),
-            np.array([-inst.rent * tour_length(inst, t) / inst.vmax], np.float64))
-
-
-def _dp_columns(inst: Instance, t: np.ndarray):
-    """An iterator over the pruned DP columns plus the processed-item order.
+def _dp_columns(inst: Instance, order: np.ndarray, rd: np.ndarray, b: np.ndarray):
+    """An iterator over one tour's pruned DP columns, from one row of :func:`_setup`.
 
     Each column ``(w, b, took, prev)`` is merged from its predecessor, the
-    first from :func:`_base_column`; each item column adds only the cost
+    first from the base column ``b``; each item column adds only the cost
     differences caused by taking that item.  Columns are made as the
     iterator advances, so a caller keeps only what it needs of them.
     """
-    order = _item_order(inst, t)
-    return _merged_columns(inst, t, order), order
-
-
-def _merged_columns(inst: Instance, t: np.ndarray, order: np.ndarray):
-    rdist = _suffix_rdist(inst, t)
-    pos_of_city = np.empty(inst.n + 1, np.int64)
-    pos_of_city[t] = np.arange(inst.n)
-    col_w, col_b = _base_column(inst, t)
-    for k in order:
-        iw = int(inst.item_weight[k])
-        ip = float(inst.item_profit[k])
-        rd = float(rdist[pos_of_city[inst.item_node[k]]])
+    col_w, col_b = np.zeros(1, np.int64), b
+    for k, r in zip(order.tolist(), rd.tolist()):
         col_w, col_b, took, prev = _kernels.dp_merge(
-            col_w, col_b, iw, ip, rd, inst.vmax, inst.nu, inst.capacity)
+            col_w, col_b, int(inst.item_weight[k]), float(inst.item_profit[k]), r,
+            inst.vmax, inst.nu, inst.capacity)
         yield col_w, col_b, took, prev
 
 
 def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
     """Exact DP front for tour ``t`` with recoverable packing plans."""
-    columns, order = _dp_columns(inst, t)
-    w, b = _base_column(inst, t)
+    orders, rd_rows, b = _setup(inst, t[None])
+    order = orders[0]
+    w = np.zeros(1, np.int64)
     links = []
-    for w, b, took, prev in columns:
+    for w, b, took, prev in _dp_columns(inst, order, rd_rows[0], b):
         links.append((took, prev))
     # back-walk every final cell at once, collecting flags by item rank
     by_rank = np.zeros((inst.m, w.size), bool)
@@ -220,23 +212,12 @@ def dp_fronts(inst: Instance, tours) -> list:
     if n_seg * (cap + 1) >= 2**63:
         raise ValueError(f"dp_fronts: {n_seg} tours at capacity {cap} overflow the int64 sort "
                          "key (needs tours x (min(capacity, total item weight) + 1) < 2**63)")
-    # the set-up of _item_order, _suffix_rdist and _base_column, one row per tour:
-    # a stable sort of item positions is _item_order's lexsort, and the legs
-    # and their sums stay integers until the rent factor, as there
     tour_mat = np.array(tours, np.int64).reshape(n_seg, inst.n)
-    rows = np.arange(n_seg)[:, None]
-    pos_of_city = np.empty((n_seg, inst.n + 1), np.int64)
-    pos_of_city[rows, tour_mat] = np.arange(inst.n)
-    item_pos = pos_of_city[:, inst.item_node]
-    orders = np.argsort(item_pos, axis=1, kind="stable")
-    suffix = np.cumsum(_legs(inst, tour_mat)[:, ::-1], axis=1)[:, ::-1]
-    rd_rows = inst.rent * suffix[rows, item_pos[rows, orders]].astype(np.float64)
+    orders, rd_rows, b = _setup(inst, tour_mat)
     item_w = inst.item_weight[orders]
     item_p = inst.item_profit[orders].astype(np.float64)
-
     seg = np.arange(n_seg)
     w = np.zeros(n_seg, np.int64)
-    b = -inst.rent * suffix[:, 0] / inst.vmax
     for j in range(inst.m):
         w, b, seg = _kernels.dp_merge_segments(
             w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)

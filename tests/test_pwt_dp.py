@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ttpsolve.instance_io import Item, make_instance, parse_instance
 from ttpsolve.pwt_dp import (
-    _dp_columns, best_reward, brute_force_front, dp_front, dp_fronts, evaluate, merge_fronts,
-    staircase,
+    _dp_columns, _setup, best_reward, brute_force_front, dp_front, dp_fronts, evaluate,
+    merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour
 
@@ -135,8 +135,8 @@ def test_column_monotonicity(tiny4):
     for _ in range(30):
         inst = random_instance(rng)
         t = random_tour(rng, inst.n)
-        columns, _ = _dp_columns(inst, t)
-        for w, b, _, _ in columns:
+        orders, rd_rows, b = _setup(inst, t[None])
+        for w, b, _, _ in _dp_columns(inst, orders[0], rd_rows[0], b):
             assert np.all(np.diff(w) > 0)
             assert np.all(np.diff(b) > 0)
             assert np.all(w <= inst.capacity)
