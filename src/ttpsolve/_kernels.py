@@ -171,10 +171,11 @@ def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
 
     Mutates ``pop`` in place and returns the tour lengths.  Acceptance is
     monotone: a mutated individual replaces its ancestor only when not
-    longer.  The result is bit for bit that of the scalar loop drawing from
-    ``RandomState(seed)`` one call at a time
-    (``tests/reference_inver_over.py``): this loop runs on Python lists and
-    replays those draws from bulk-drawn MT19937 words
+    longer.  With fewer than 3 cities no reversal is possible, so ``pop``
+    is left as it is and ``hook`` is not called.  Otherwise the result
+    is bit for bit that of the scalar loop drawing from ``RandomState(seed)``
+    one call at a time (``tests/reference_inver_over.py``): this loop runs
+    on Python lists and replays those draws from bulk-drawn MT19937 words
     (``_RandomStateReplay``).  ``hook(ancestor_length, accepted_length)``,
     if given, observes every acceptance; it does not change the result.
     """
@@ -182,6 +183,8 @@ def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
     d = dist.tolist()
     tours = pop.tolist()
     lengths = [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)]
+    if n < 3:
+        return np.array(lengths, np.int64)
     rng = _RandomStateReplay(seed)
     random_city = rng.randint_of(n)
     random_other = rng.randint_of(ps)

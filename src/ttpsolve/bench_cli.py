@@ -24,7 +24,7 @@ from scipy import special
 
 from . import fronts as fr
 from . import pwt_dp, tours
-from .evolve import IbeaConfig, run_ibea
+from .evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
 from .instance_io import parse_instance
 
 FLOAT_FMT = "%.9g"
@@ -431,9 +431,8 @@ def build_parser():
     run.add_argument("--mu", type=int)
     run.add_argument("--generations", type=int)
     run.add_argument("--lam", type=int)
-    run.add_argument("--indicator", choices=["lhv", "lsc"])
-    run.add_argument("--selection",
-                     choices=["exp", "iq", "har", "fps", "ts", "as_bst", "as_ext", "uar"])
+    run.add_argument("--indicator", choices=fr.INDICATOR_KINDS)
+    run.add_argument("--selection", choices=SELECTION_SCHEMES)
     run.add_argument("--crossover-prob", dest="crossover_prob", type=float)
     run.add_argument("--mutation-split", dest="mutation_split", type=float)
     run.add_argument("--tournament-size", dest="tournament_size", type=int)

@@ -1,5 +1,5 @@
-"""Front algebra: Pareto filtering, the surface of a front collection,
-hypervolume, and the two front-level loss indicators.
+"""Front algebra: the surface of a front collection, hypervolume, and the
+two front-level loss indicators.
 
 A ``SurfacePool`` sorts the points of a front collection once and then
 yields the surface after each removal of a front, as IBEA's survivor trim
@@ -19,25 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pwt_dp import DpFront, REWARD_EQ_ATOL, staircase, staircase_heads, staircase_order
+from .pwt_dp import REWARD_EQ_ATOL, staircase_heads, staircase_order
 
 LSC = "lsc"
 LHV = "lhv"
 INDICATOR_KINDS = (LSC, LHV)
-
-
-def pareto_filter(pts):
-    """Maximal mutually non-dominated subset, weight ascending.
-
-    Accepts a sequence of (reward, weight) pairs; duplicates collapse.
-    """
-    pts = list(pts)
-    if not pts:
-        return []
-    rewards = np.array([p[0] for p in pts], np.float64)
-    weights = np.array([p[1] for p in pts])
-    keep = staircase(rewards, weights)
-    return list(zip(rewards[keep].tolist(), weights[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -52,20 +38,6 @@ class Surface:
     membership: np.ndarray  # (n_fronts, n_points) bool
     fronts: tuple
     capacity: int
-
-    @property
-    def points(self):
-        return list(zip(self.rewards.tolist(), self.weights.tolist()))
-
-    def contributors(self, p: int) -> set:
-        return set(np.flatnonzero(self.membership[:, p]).tolist())
-
-    def to_csv(self) -> str:
-        lines = ["reward,weight,contributor_count"]
-        counts = self.membership.sum(axis=0)
-        for r, w, c in zip(self.rewards, self.weights, counts):
-            lines.append(f"{r:.9g},{int(w)},{int(c)}")
-        return "\n".join(lines) + "\n"
 
 
 def surface(fronts) -> Surface:
@@ -137,18 +109,8 @@ class SurfacePool:
         return self.surface
 
 
-def hypervolume(pts, capacity) -> float:
-    """Dominated area of a non-dominated point set w.r.t. reference (0, C)."""
-    if isinstance(pts, Surface):
-        rewards, weights = pts.rewards, pts.weights
-    else:
-        pts = list(pts)
-        rewards = np.array([p[0] for p in pts], np.float64)
-        weights = np.array([p[1] for p in pts], np.float64)
-    return _hv(rewards, weights, capacity)
-
-
 def _hv(rewards, weights, capacity) -> float:
+    """Dominated area of a non-dominated point set w.r.t. reference (0, C)."""
     qual = (rewards > 0) & (weights < capacity)
     if not qual.any():
         return 0.0
@@ -160,32 +122,14 @@ def _hv(rewards, weights, capacity) -> float:
     return float((r * (nxt - w)).sum())
 
 
-def _front_index(s: Surface, f) -> int:
-    if isinstance(f, (int, np.integer)):
-        return int(f)
-    for i, g in enumerate(s.fronts):
-        if g is f:
-            return i
-    for i, g in enumerate(s.fronts):
-        if isinstance(g, DpFront) and np.array_equal(g.weights, f.weights) \
-                and np.allclose(g.rewards, f.rewards, atol=REWARD_EQ_ATOL):
-            return i
-    raise ValueError("front is not a member of this surface")
-
-
-def indicator(s: Surface, f, kind: str) -> float:
-    """Loss indicator of member front ``f`` w.r.t. surface ``s``.
+def all_indicators(s: Surface, kind: str) -> np.ndarray:
+    """Loss indicator of every member front w.r.t. surface ``s``.
 
     LSC is the share of surface points the front contributes.  LHV is the
     hypervolume share lost when the points contributed exclusively by the
     front are removed; shared points survive the removal.  A zero-volume
     surface falls back to LSC so the result stays in [0, 1].
     """
-    return float(all_indicators(s, kind)[_front_index(s, f)])
-
-
-def all_indicators(s: Surface, kind: str) -> np.ndarray:
-    """Indicator values (see :func:`indicator`) for every member front."""
     if kind not in INDICATOR_KINDS:
         raise ValueError(f"unknown indicator kind: {kind}")
     if kind == LSC:

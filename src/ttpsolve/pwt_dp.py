@@ -44,10 +44,6 @@ class DpFront:
     capacity: int
 
     @property
-    def points(self):
-        return list(zip(self.rewards.tolist(), self.weights.tolist()))
-
-    @property
     def plans(self) -> np.ndarray:
         if self.plans_packed is None:
             raise ValueError("a points-only front (from dp_fronts) has no plans; use dp_front")
@@ -115,18 +111,10 @@ def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
     for k in np.flatnonzero(taken):
         node_weight[inst.items[k].node] += inst.items[k].weight
         node_profit[inst.items[k].node] += inst.items[k].profit
-    dist = inst.dist_matrix
     time = 0.0
     w = 0
-    for idx in range(inst.n):
-        city = int(t[idx])
+    for city, d in zip(t.tolist(), _legs(inst, t).tolist()):
         w += int(node_weight[city])
-        nxt = int(t[(idx + 1) % inst.n])
-        if dist is not None:
-            d = int(dist[city - 1, nxt - 1])
-        else:
-            from .instance_io import distance
-            d = distance(inst, city, nxt)
         time += d / (inst.vmax - inst.nu * w)
     reward = float(node_profit.sum() - inst.rent * time)
     weight = int(taken.astype(np.int64) @ inst.item_weight) if inst.m else 0
@@ -257,11 +245,6 @@ def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
     keep = staircase(rewards, weights)
     return DpFront(tour=t.copy(), rewards=rewards[keep], weights=weights[keep],
                    plans_packed=_pack_plans(packs[keep]), m=m, capacity=inst.capacity)
-
-
-def best_reward(f: DpFront) -> float:
-    """Single-objective value of the tour: the maximal front reward."""
-    return float(f.rewards.max())
 
 
 def merge_fronts(a: DpFront, b: DpFront) -> DpFront:

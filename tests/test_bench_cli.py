@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -13,7 +14,8 @@ from ttpsolve.bench_cli import (
     box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
     final_metrics, log_p_measure, main, read_records, summarize, welch_t_test,
 )
-from ttpsolve.evolve import IbeaConfig, run_ibea
+from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
+from ttpsolve.fronts import INDICATOR_KINDS
 from ttpsolve.pwt_dp import dp_front
 from ttpsolve.tours import make_tour
 
@@ -476,3 +478,11 @@ def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "total weight" in err[0]
+
+
+def test_run_parser_choices_are_the_config_constants():
+    parser = bench_cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
+    assert list(choices["indicator"]) == list(INDICATOR_KINDS)
+    assert list(choices["selection"]) == list(SELECTION_SCHEMES)

@@ -210,7 +210,8 @@ def test_final_population_fronts_values_and_surface(tiny4, indicator, both):
             _assert_same_points(ind.front, _fresh_front(inst, ind.tour, both))
         surf = fronts.surface([ind.front for ind in pop])
         assert [ind.value for ind in pop] == fronts.all_indicators(surf, indicator).tolist()
-        assert res.records[-1].surface_points == surf.points
+        assert res.records[-1].surface_points == list(zip(surf.rewards.tolist(),
+                                                          surf.weights.tolist()))
 
 
 @pytest.mark.parametrize("both", [False, True])

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from ttpsolve.fronts import (
-    LHV, LSC, all_indicators, hypervolume, indicator, pareto_filter, surface,
-)
-from ttpsolve.pwt_dp import dp_front
+from ttpsolve.fronts import LHV, LSC, _hv, all_indicators, surface
+from ttpsolve.pwt_dp import dp_front, staircase
 from ttpsolve.tours import make_tour
 
 from conftest import random_instance, random_tour
@@ -19,57 +17,74 @@ def pair(tiny4):
     return fwd, rev
 
 
+def arrays(pts):
+    """(rewards, weights) arrays of a list of (reward, weight) pairs."""
+    return (np.array([p[0] for p in pts], np.float64),
+            np.array([p[1] for p in pts], np.int64))
+
+
+def staircase_points(pts):
+    """The (reward, weight) pairs that ``staircase`` keeps, weight ascending."""
+    rewards, weights = arrays(pts)
+    keep = staircase(rewards, weights)
+    return list(zip(rewards[keep].tolist(), weights[keep].tolist()))
+
+
+def contributors(s, p):
+    return np.flatnonzero(s.membership[:, p]).tolist()
+
+
 def test_pareto_filter_example():
     pts = [(8.75, 2), (7.782609, 3), (16.776786, 4)]
-    assert pareto_filter(pts) == [(8.75, 2), (16.776786, 4)]
+    assert staircase_points(pts) == [(8.75, 2), (16.776786, 4)]
 
 
 def test_pareto_filter_empty():
-    assert pareto_filter([]) == []
+    assert staircase_points([]) == []
 
 
 def test_pareto_filter_duplicates():
-    assert pareto_filter([(5, 1), (5, 1)]) == [(5, 1)]
+    assert staircase_points([(5, 1), (5, 1)]) == [(5, 1)]
 
 
 def test_surface_of_pair(pair):
     s = surface(pair)
     assert s.weights.tolist() == [0, 2, 4]
     assert s.rewards == pytest.approx([-14.0, 8.75, 19.348214], abs=1e-6)
-    assert s.contributors(0) == {0, 1}
-    assert s.contributors(1) == {0}
-    assert s.contributors(2) == {1}
+    assert contributors(s, 0) == [0, 1]
+    assert contributors(s, 1) == [0]
+    assert contributors(s, 2) == [1]
 
 
 def test_surface_single_front(pair):
     fwd, _ = pair
     s = surface([fwd])
     assert np.array_equal(s.weights, fwd.weights)
-    assert all(s.contributors(i) == {0} for i in range(len(s.rewards)))
+    assert all(contributors(s, i) == [0] for i in range(len(s.rewards)))
 
 
 def test_surface_identical_fronts(pair):
     fwd, _ = pair
     s = surface([fwd, fwd])
     assert np.array_equal(s.weights, fwd.weights)
-    assert all(s.contributors(i) == {0, 1} for i in range(len(s.rewards)))
+    assert all(contributors(s, i) == [0, 1] for i in range(len(s.rewards)))
 
 
 def test_hypervolume_examples(pair):
     fwd, _ = pair
-    assert hypervolume(fwd.points, 5) == pytest.approx(34.276786, abs=1e-5)
+    assert _hv(fwd.rewards, fwd.weights, 5) == pytest.approx(34.276786, abs=1e-5)
     s = surface(pair)
-    assert hypervolume(s, 5) == pytest.approx(36.848214, abs=1e-5)
+    assert _hv(s.rewards, s.weights, 5) == pytest.approx(36.848214, abs=1e-5)
 
 
 def test_hypervolume_nonpositive_rewards():
-    assert hypervolume([(-3.0, 1), (0.0, 2)], 10) == 0.0
+    assert _hv(*arrays([(-3.0, 1), (0.0, 2)]), 10) == 0.0
 
 
 def test_hypervolume_ignores_dominated_insertions():
     pts = [(2.0, 1), (5.0, 4)]
-    base = hypervolume(pts, 10)
-    assert hypervolume(pareto_filter(pts + [(1.5, 3)]), 10) == pytest.approx(base)
+    base = _hv(*arrays(pts), 10)
+    assert _hv(*arrays(staircase_points(pts + [(1.5, 3)])), 10) == pytest.approx(base)
 
 
 def test_hypervolume_monotone_under_addition():
@@ -77,26 +92,19 @@ def test_hypervolume_monotone_under_addition():
     pts = [(2.0, 3), (6.0, 7)]
     for _ in range(50):
         cand = (float(rng.uniform(0.1, 10)), int(rng.integers(0, 10)))
-        filtered = pareto_filter(pts + [cand])
+        filtered = staircase_points(pts + [cand])
         if (cand in filtered and cand[0] > 0 and cand[1] < 10
                 and len(filtered) == 3):
-            assert hypervolume(filtered, 10) >= hypervolume(pts, 10) - 1e-12
+            assert _hv(*arrays(filtered), 10) >= _hv(*arrays(pts), 10) - 1e-12
 
 
 def test_indicator_examples(pair):
     fwd, rev = pair
     s = surface(pair)
-    assert indicator(s, fwd, LSC) == pytest.approx(2 / 3)
-    assert indicator(s, rev, LSC) == pytest.approx(2 / 3)
-    assert indicator(s, fwd, LHV) == pytest.approx(1 - 19.348214 / 36.848214, abs=1e-5)
-    assert indicator(s, rev, LHV) == pytest.approx(1 - 26.25 / 36.848214, abs=1e-5)
-
-
-def test_all_indicators_matches_scalar(pair):
-    s = surface(pair)
-    for kind in (LSC, LHV):
-        vals = all_indicators(s, kind)
-        assert vals == pytest.approx([indicator(s, f, kind) for f in pair])
+    assert all_indicators(s, LSC)[0] == pytest.approx(2 / 3)
+    assert all_indicators(s, LSC)[1] == pytest.approx(2 / 3)
+    assert all_indicators(s, LHV)[0] == pytest.approx(1 - 19.348214 / 36.848214, abs=1e-5)
+    assert all_indicators(s, LHV)[1] == pytest.approx(1 - 26.25 / 36.848214, abs=1e-5)
 
 
 def test_indicator_bounds_and_lsc_sum():
@@ -114,8 +122,8 @@ def test_indicator_bounds_and_lsc_sum():
 def test_full_and_absent_front(pair):
     fwd, _ = pair
     s = surface([fwd])
-    assert indicator(s, fwd, LSC) == 1.0
-    assert indicator(s, fwd, LHV) == 1.0
+    assert all_indicators(s, LSC)[0] == 1.0
+    assert all_indicators(s, LHV)[0] == 1.0
 
 
 def test_noncontributing_front(tiny4, pair):
@@ -126,8 +134,8 @@ def test_noncontributing_front(tiny4, pair):
                      weights=np.array([0, 2], np.int64),
                      plans_packed=np.zeros((2, 1), np.uint8), m=3, capacity=5)
     s = surface([fwd, dom])
-    assert indicator(s, 1, LSC) == 0.0
-    assert indicator(s, 1, LHV) == 0.0
+    assert all_indicators(s, LSC)[1] == 0.0
+    assert all_indicators(s, LHV)[1] == 0.0
 
 
 def test_lhv_zero_volume_fallback():
@@ -136,15 +144,7 @@ def test_lhv_zero_volume_fallback():
                    weights=np.array([0], np.int64),
                    plans_packed=np.zeros((1, 0), np.uint8), m=0, capacity=4)
     s = surface([f])
-    assert indicator(s, f, LHV) == 1.0  # falls back to LSC
-
-
-def test_surface_csv(pair):
-    s = surface(pair)
-    lines = s.to_csv().strip().splitlines()
-    assert lines[0] == "reward,weight,contributor_count"
-    assert len(lines) == 4
-    assert lines[1].endswith(",0,2")
+    assert all_indicators(s, LHV)[0] == 1.0  # falls back to LSC
 
 
 ALL_NON_POSITIVE = [make_front([-4.0, -2.0, 0.0], [0, 3, 5], 6),
@@ -165,7 +165,7 @@ def test_indicator_invariants(pop):
         assert v.shape == (len(pop),)
         assert np.all((v >= 0.0) & (v <= 1.0))
     assert values[LSC].sum() >= 1.0 - len(pop) * np.finfo(np.float64).eps
-    if hypervolume(s, s.capacity) == 0.0:
+    if _hv(s.rewards, s.weights, s.capacity) == 0.0:
         assert values[LHV].tolist() == values[LSC].tolist()
     if s.rewards.max() <= 0.0:
-        assert hypervolume(s, s.capacity) == 0.0
+        assert _hv(s.rewards, s.weights, s.capacity) == 0.0

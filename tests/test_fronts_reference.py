@@ -99,7 +99,6 @@ def test_surface_and_indicators_match_reference(pop):
         values = fronts.all_indicators(got, kind)
         assert values.dtype == expect.dtype
         assert values.tolist() == expect.tolist()
-        assert [fronts.indicator(got, i, kind) for i in range(len(pop))] == expect.tolist()
 
 
 def assert_same_surface(got, want):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ttpsolve.instance_io import Item, make_instance, parse_instance
 from ttpsolve.pwt_dp import (
-    _dp_columns, _setup, best_reward, brute_force_front, dp_front, dp_fronts, evaluate,
+    _dp_columns, _setup, brute_force_front, dp_front, dp_fronts, evaluate,
     merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour
@@ -69,17 +69,18 @@ def test_brute_force_matches_dp_on_tiny4(tiny4):
 
 
 def test_best_reward(tiny4):
-    assert best_reward(dp_front(tiny4, make_tour(FWD))) == pytest.approx(16.776786, abs=1e-6)
-    assert best_reward(dp_front(tiny4, make_tour(REV))) == pytest.approx(19.348214, abs=1e-6)
+    assert dp_front(tiny4, make_tour(FWD)).rewards.max() == pytest.approx(16.776786, abs=1e-6)
+    assert dp_front(tiny4, make_tour(REV)).rewards.max() == pytest.approx(19.348214, abs=1e-6)
 
 
 def test_no_items():
     inst = make_instance("bare", [(0, 0), (0, 3), (4, 3), (4, 0)], [], 10, 0.1, 1.0, 2.0)
     f = dp_front(inst, make_tour(FWD))
-    assert f.points == [(-28.0, 0)]
+    assert (f.rewards.tolist(), f.weights.tolist()) == ([-28.0], [0])
     assert_same_front(dp_fronts(inst, [make_tour(FWD)] * 2)[1], f)
-    assert brute_force_front(inst, make_tour(FWD)).points == [(-28.0, 0)]
-    assert best_reward(f) == -28.0
+    g = brute_force_front(inst, make_tour(FWD))
+    assert (g.rewards.tolist(), g.weights.tolist()) == ([-28.0], [0])
+    assert f.rewards.max() == -28.0
 
 
 def test_zero_capacity(tiny4):
@@ -266,7 +267,7 @@ def test_dp_fronts_empty_batch(tiny4):
 
 def test_dp_fronts_front_has_no_plans(tiny4):
     f = dp_fronts(tiny4, [make_tour(FWD)])[0]
-    assert f.points == dp_front(tiny4, make_tour(FWD)).points
+    assert_same_front(f, dp_front(tiny4, make_tour(FWD)))
     for use in (lambda: f.plans, lambda: f.plan_items(0), f.to_json):
         with pytest.raises(ValueError, match="use dp_front"):
             use()

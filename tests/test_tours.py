@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttpsolve
 from ttpsolve.instance_io import make_instance
 from ttpsolve.tours import (
     crossover, inver_over, is_valid_tour, jump_mutate, make_tour,
@@ -33,6 +39,10 @@ def test_tour_invariant_rejects_bad():
         make_tour([2, 1, 3])
     with pytest.raises(ValueError):
         make_tour([1, 2, 2])
+
+
+def test_is_valid_tour_rejects_empty():
+    assert is_valid_tour(np.zeros(0, np.int64)) is False
 
 
 def test_two_opt_examples():
@@ -149,3 +159,22 @@ def test_inver_over_improves_random_tours():
     fresh = [random_tour(np.random.default_rng(2), 20) for _ in range(8)]
     assert min(tour_length(inst, t) for t in seeded) < \
         min(tour_length(inst, t) for t in fresh)
+
+
+def test_inver_over_one_city_returns():
+    """With one city the random partner redraw can only draw that city
+    again, so the seeding must return without running the loop.  It runs
+    in a child process so that a hang fails the test instead of the suite."""
+    code = ("import numpy as np\n"
+            "from ttpsolve.instance_io import make_instance\n"
+            "from ttpsolve.tours import inver_over\n"
+            "inst = make_instance('one', [(0, 0)], [], 0, 0.1, 1.0, 1.0)\n"
+            "tours = inver_over(inst, 2, 1, 1.0, np.random.default_rng(0))\n"
+            "print([t.tolist() for t in tours])\n")
+    src = str(Path(ttpsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[[1], [1]]"
