@@ -5,7 +5,7 @@ Subcommands: ``run``, ``summarize``, ``plotdata``, ``dpfront``,
 ``seed-tours``.  Record files are JSON lines (one
 generation record per line); summaries are single JSON documents.  The
 ``TTPSOLVE_WORKERS`` env var sets the number of concurrent repetition
-workers for ``run``.
+workers for ``run``, at most one per repetition.
 """
 
 import argparse
@@ -102,26 +102,41 @@ def read_json(path):
 
 
 def read_records(path):
-    """The records of a JSONL file; a malformed line raises a ValueError naming
-    the file and the line."""
+    """The records of a JSONL file; a malformed line, or one that is not an
+    object with numeric ``generation``, ``population_hv``, ``best_reward``
+    and ``archive_hv``, raises a ValueError naming the file and the line."""
     records = []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, 1):
-            if ln.strip():
-                try:
-                    records.append(json.loads(ln))
-                except json.JSONDecodeError as exc:
-                    raise _invalid_json(f"{path}, line {lineno}", exc) from None
+            if not ln.strip():
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                rec = json.loads(ln)
+            except json.JSONDecodeError as exc:
+                raise _invalid_json(where, exc) from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: expected a JSON object")
+            for key in ("generation", "population_hv", "best_reward", "archive_hv"):
+                value = rec.get(key)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{where}: {key!r} is missing or not a number")
+            records.append(rec)
     return records
+
+
+def _rep_files(run_dir):
+    """The ``rep_*.jsonl`` record files of one run dir, in repetition order."""
+    found = sorted(Path(run_dir).glob("rep_*.jsonl"))
+    if not found:
+        raise ValueError(f"{run_dir}: no rep_*.jsonl record files")
+    return found
 
 
 def final_metrics(run_dir):
     """Per-repetition final (population_hv, best_reward) of one run dir."""
-    rep_files = sorted(Path(run_dir).glob("rep_*.jsonl"))
-    if not rep_files:
-        raise ValueError(f"{run_dir}: no rep_*.jsonl record files")
     out = []
-    for rep in rep_files:
+    for rep in _rep_files(run_dir):
         records = read_records(rep)
         if not records:
             raise ValueError(f"no records in {rep}")
@@ -255,6 +270,16 @@ def _one_rep(instance_text, cfg_dict, seed):
     return run_ibea(inst, cfg)
 
 
+def _workers(reps):
+    """``TTPSOLVE_WORKERS`` (default 1), capped at ``reps``: the process pool
+    starts all its workers at once, used or not."""
+    raw = os.environ.get("TTPSOLVE_WORKERS", "1")
+    try:
+        return min(int(raw), reps)
+    except ValueError:
+        raise ValueError(f"TTPSOLVE_WORKERS must be an integer, not {raw!r}") from None
+
+
 def cli_run(args):
     with open(args.instance) as fh:
         text = fh.read()
@@ -266,7 +291,7 @@ def cli_run(args):
     cfg_dict = dataclasses.asdict(cfg)
     del cfg_dict["seed"]
     label = f"{cfg.selection}-{cfg.indicator}"
-    workers = int(os.environ.get("TTPSOLVE_WORKERS", "1"))
+    workers = _workers(reps)
     seeds = [cfg.seed + i for i in range(reps)]
 
     if workers > 1:
@@ -367,10 +392,8 @@ def cli_plotdata(args):
         if len(args.records) > 1:
             raise ValueError("plotdata --mode convergence takes one --records dir, "
                              f"got {len(args.records)}")
-        rep_files = sorted(Path(args.records[0]).glob("rep_*.jsonl"))
-        if not rep_files:
-            raise ValueError(f"{args.records[0]}: no rep_*.jsonl record files")
-        emit_convergence_csv([read_records(p) for p in rep_files], out_dir / "convergence.csv")
+        emit_convergence_csv([read_records(p) for p in _rep_files(args.records[0])],
+                             out_dir / "convergence.csv")
     else:  # boxplot
         labelled = {}
         for run_dir in args.records:

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# full distance matrices are precomputed below this city count
-MATRIX_THRESHOLD = 2000
 # tour lengths, times and costs must stay below this, far under the float64
 # maximum (~1.8e308), so that sums of rewards and costs cannot overflow
 COST_LIMIT = 1e300
@@ -45,7 +43,6 @@ class Instance:
     vmax: float
     rent: float
     nu: float
-    dist_matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
     item_profit: np.ndarray = field(default=None, compare=False, repr=False)
     item_weight: np.ndarray = field(default=None, compare=False, repr=False)
     item_node: np.ndarray = field(default=None, compare=False, repr=False)
@@ -57,14 +54,13 @@ class Instance:
                            np.array([it.weight for it in self.items], np.int64))
         object.__setattr__(self, "item_node",
                            np.array([it.node for it in self.items], np.int64))
-        # coordinates that are not finite or span too far give no int64 matrix
-        if self.dist_matrix is None and self.n <= MATRIX_THRESHOLD \
-                and not _range_violations(self.coords, ()):
-            object.__setattr__(self, "dist_matrix", _ceil2d_matrix(self.coords))
 
 
-def _ceil2d_matrix(coords):
-    diff = coords[:, None, :] - coords[None, :, :]
+def _ceil2d(a, b):
+    """int64 CEIL_2D lengths between the (x, y) points along the last axis of
+    ``a`` and ``b``, broadcast against each other: ``_ceil2d(xy[:, None],
+    xy[None])`` is the full distance matrix of the points ``xy``."""
+    diff = a - b
     return np.ceil(np.sqrt((diff * diff).sum(-1))).astype(np.int64)
 
 
@@ -82,10 +78,7 @@ def distance(inst: Instance, i: int, j: int) -> int:
     """CEIL_2D distance between 1-based cities ``i`` and ``j``."""
     if not (1 <= i <= inst.n and 1 <= j <= inst.n):
         raise IndexError(f"city index out of range: ({i}, {j}) with n={inst.n}")
-    if inst.dist_matrix is not None:
-        return int(inst.dist_matrix[i - 1, j - 1])
-    dx, dy = inst.coords[i - 1] - inst.coords[j - 1]
-    return math.ceil(math.hypot(dx, dy))
+    return int(_ceil2d(inst.coords[i - 1], inst.coords[j - 1]))
 
 
 _HEADER_KEYS = [
@@ -130,12 +123,6 @@ def parse_instance(text: str) -> Instance:
     vmin = float(header["MIN SPEED"])
     vmax = float(header["MAX SPEED"])
     rent = float(header["RENTING RATIO"])
-    if capacity < 0:
-        raise InstanceFormatError("negative knapsack capacity")
-    if not vmax > vmin > 0:
-        raise InstanceFormatError(
-            f"speed range degenerate: MIN SPEED {vmin}, MAX SPEED {vmax} "
-            "(need MAX SPEED > MIN SPEED > 0)")
 
     body = lines[idx:]
     if not body or not body[0].startswith("NODE_COORD_SECTION"):
@@ -168,16 +155,10 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"malformed item line: {ln!r}")
         if int(parts[0]) != expect:
             raise InstanceFormatError(f"item index out of order: {ln!r}")
-        profit, weight, node = int(parts[1]), int(parts[2]), int(parts[3])
-        if node == 1:
-            raise InstanceFormatError(f"item {expect} assigned to city 1")
-        if not (1 <= node <= n):
-            raise InstanceFormatError(f"item {expect} node out of range: {node}")
-        if profit <= 0 or weight <= 0:
-            raise InstanceFormatError(f"item {expect} has non-positive profit/weight")
-        items.append(Item(profit=profit, weight=weight, node=node))
+        items.append(Item(profit=int(parts[1]), weight=int(parts[2]), node=int(parts[3])))
 
-    problems = _range_violations(coords, items)
+    # item nodes beyond int64 must be caught before make_instance packs them
+    problems = _range_violations(coords, items, n)
     if problems:
         raise InstanceFormatError(problems[0])
     inst = make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
@@ -187,14 +168,25 @@ def parse_instance(text: str) -> Instance:
     return inst
 
 
-def _range_violations(coords, items) -> list:
-    """Coordinates and item values that the int64 arrays cannot carry.
+def _range_violations(coords, items, n) -> list:
+    """Item and coordinate values outside their range or beyond int64.
 
-    Coordinates must be finite, and the longest conceivable tour must stay
-    below ``LENGTH_LIMIT``.  The total profit and the total weight of all
-    items must fit in int64, so every packing's weight does too.
+    Each item sits on one of the cities 2..n (city 1, the depot, holds no
+    items), and its profit and weight are positive integers.  Coordinates
+    must be finite, and the longest conceivable tour must stay below
+    ``LENGTH_LIMIT``.  The total profit and the total weight of all items
+    must fit in int64, so every packing's weight does too.
     """
     report = []
+    for i, it in enumerate(items, start=1):
+        if it.node == 1:
+            report.append(f"item {i} at depot (city 1 holds no items)")
+        elif not (2 <= it.node <= n):
+            report.append(f"item {i} node {it.node} out of range [2, {n}]")
+        for name in ("profit", "weight"):
+            value = getattr(it, name)
+            if value <= 0 or int(value) != value:
+                report.append(f"item {i} {name} not a positive integer")
     if not np.all(np.isfinite(coords)):
         report.append("coordinates must be finite")
     elif _longest_tour(coords) >= LENGTH_LIMIT:
@@ -214,19 +206,26 @@ def _longest_tour(coords) -> float:
 
 
 def _float_violations(inst: Instance) -> list:
-    """Speed and rent values whose travel costs float64 cannot carry.
+    """Capacity, speed and rent values outside their range, or whose travel
+    costs float64 cannot carry.
 
-    Beyond MAX SPEED finite and RENTING RATIO finite and >= 0, the speed at
+    The capacity must be >= 0, MAX SPEED > MIN SPEED > 0 with MAX SPEED
+    finite, and RENTING RATIO finite and >= 0.  On such values the speed at
     full load, computed as the DP computes it, must stay positive, and the
     length, time and cost of the longest conceivable tour must stay below
-    ``COST_LIMIT``.  Checked only on a sound speed range.
+    ``COST_LIMIT``.
     """
     report = []
+    if inst.capacity < 0:
+        report.append(f"negative knapsack capacity {inst.capacity}")
+    if not inst.vmax > inst.vmin > 0:
+        report.append(f"speed range degenerate: MIN SPEED {inst.vmin}, MAX SPEED {inst.vmax} "
+                      "(need MAX SPEED > MIN SPEED > 0)")
     if not math.isfinite(inst.vmax):
         report.append(f"MAX SPEED {inst.vmax} is not finite")
     if not (math.isfinite(inst.rent) and inst.rent >= 0):
         report.append(f"RENTING RATIO {inst.rent} must be finite and >= 0")
-    if report or not inst.vmax > inst.vmin > 0:
+    if report:
         return report
     slowest = inst.vmax - inst.nu * inst.capacity
     if not slowest > 0:
@@ -265,24 +264,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def validate(inst: Instance) -> list:
     """Invariant check; violations are reported, not raised."""
-    report = []
-    for i, it in enumerate(inst.items, start=1):
-        if it.node == 1:
-            report.append(f"item {i} at depot (city 1 holds no items)")
-        elif not (2 <= it.node <= inst.n):
-            report.append(f"item {i} node {it.node} out of range [2, {inst.n}]")
-        if it.weight <= 0 or int(it.weight) != it.weight:
-            report.append(f"item {i} weight not a positive integer")
-        if it.profit <= 0 or int(it.profit) != it.profit:
-            report.append(f"item {i} profit not a positive integer")
-    if inst.capacity < 0:
-        report.append("negative capacity")
-    if not (inst.vmax > inst.vmin > 0):
-        report.append("speed range degenerate (need vmax > vmin > 0)")
-    report += _range_violations(inst.coords, inst.items)
-    report += _float_violations(inst)
-    if inst.capacity > 0:
-        expect_nu = (inst.vmax - inst.vmin) / inst.capacity
-        if inst.nu != expect_nu:
-            report.append("stored nu inconsistent with (vmax - vmin)/C")
+    report = _range_violations(inst.coords, inst.items, inst.n) + _float_violations(inst)
+    if inst.capacity > 0 and inst.nu != (inst.vmax - inst.vmin) / inst.capacity:
+        report.append("stored nu inconsistent with (vmax - vmin)/C")
     return report

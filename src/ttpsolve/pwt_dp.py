@@ -102,10 +102,13 @@ def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
     """Reward and total weight of one packing on one tour.
 
     The velocity on the leg leaving a node reflects every item collected up
-    to and including that node.  Packings above capacity are evaluated all
-    the same; feasibility is the caller's concern.
+    to and including that node.  A packing above capacity raises
+    ``ValueError``: its speed model does not hold, and may reach zero.
     """
     taken = np.asarray(taken, bool)
+    weight = int(taken.astype(np.int64) @ inst.item_weight) if inst.m else 0
+    if weight > inst.capacity:
+        raise ValueError(f"packing weight {weight} exceeds the capacity {inst.capacity}")
     node_weight = np.zeros(inst.n + 1, np.int64)
     node_profit = np.zeros(inst.n + 1, np.int64)
     for k in np.flatnonzero(taken):
@@ -116,9 +119,7 @@ def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
     for city, d in zip(t.tolist(), _legs(inst, t).tolist()):
         w += int(node_weight[city])
         time += d / (inst.vmax - inst.nu * w)
-    reward = float(node_profit.sum() - inst.rent * time)
-    weight = int(taken.astype(np.int64) @ inst.item_weight) if inst.m else 0
-    return reward, weight
+    return float(node_profit.sum() - inst.rent * time), weight
 
 
 def _setup(inst: Instance, tour_mat: np.ndarray):

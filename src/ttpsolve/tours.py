@@ -12,7 +12,7 @@ import numbers
 import numpy as np
 
 from . import _kernels
-from .instance_io import Instance, distance
+from .instance_io import Instance, _ceil2d
 
 # inner-loop probability of picking the partner city at random instead of
 # copying an adjacency from another individual (Inver-over default)
@@ -50,22 +50,11 @@ def is_valid_tour(t: np.ndarray, n: int | None = None) -> bool:
     return n is None or t.size == n
 
 
-def _dist_matrix(inst: Instance) -> np.ndarray:
-    if inst.dist_matrix is not None:
-        return inst.dist_matrix
-    from .instance_io import _ceil2d_matrix
-    return _ceil2d_matrix(inst.coords)
-
-
 def _legs(inst: Instance, t: np.ndarray) -> np.ndarray:
     """int64 lengths of the legs leaving each position of tour ``t``, or of
-    each row of a ``(tours, n)`` tour matrix; without a distance matrix each
-    leg is one :func:`instance_io.distance` call."""
-    nxt = np.roll(t, -1, axis=-1)
-    if inst.dist_matrix is not None:
-        return inst.dist_matrix[t - 1, nxt - 1]
-    pairs = zip(t.ravel().tolist(), nxt.ravel().tolist())
-    return np.array([distance(inst, a, b) for a, b in pairs], np.int64).reshape(t.shape)
+    each row of a ``(tours, n)`` tour matrix."""
+    xy = inst.coords[t - 1]
+    return _ceil2d(xy, np.roll(xy, -1, axis=-2))
 
 
 def tour_length(inst: Instance, t: np.ndarray) -> int:
@@ -150,7 +139,7 @@ def inver_over(inst: Instance, pop_size: int, generations: int,
     for s in range(pop_size):
         pop[s, 0] = 0
         pop[s, 1:] = rng.permutation(np.arange(1, n))
-    dist = _dist_matrix(inst)
+    dist = _ceil2d(inst.coords[:, None], inst.coords[None])
     seed = int(rng.integers(0, 2**31 - 1))
     _kernels.run_inver_over(pop, dist, generations, p_random, seed, hook=hook)
     tours = []

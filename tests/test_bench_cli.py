@@ -411,6 +411,14 @@ def _write_cli_inputs(tmp_path):
     (tmp_path / "bad_jsonl" / "rep_000.jsonl").write_text(
         json.dumps(record) + "\n\n" + '{"generation": 1,\n')
     (tmp_path / "bad_tours.json").write_text("[[1, 2,\n 3")
+    for name, line in (("list_record", "[1, 2]"),
+                       ("no_hv", json.dumps({k: v for k, v in record.items()
+                                             if k != "population_hv"})),
+                       ("text_generation", json.dumps({**record, "generation": "0"})),
+                       ("bool_reward", json.dumps({**record, "best_reward": True}))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(summaries["no_reps"]))
+        (tmp_path / name / "rep_000.jsonl").write_text(json.dumps(record) + "\n" + line + "\n")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -455,6 +463,18 @@ def _write_cli_inputs(tmp_path):
      "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
     (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
       "{tmp}/bad_tours.json"], "bad_tours.json, line 2: invalid JSON"),
+    (["summarize", "--records", "{tmp}/list_record", "--baseline", "L"],
+     "list_record/rep_000.jsonl, line 2: expected a JSON object"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/list_record"],
+     "list_record/rep_000.jsonl, line 2: expected a JSON object"),
+    (["summarize", "--records", "{tmp}/no_hv", "--baseline", "L"],
+     "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_hv"],
+     "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
+    (["plotdata", "--mode", "convergence", "--records", "{tmp}/text_generation"],
+     "text_generation/rep_000.jsonl, line 2: 'generation' is missing or not a number"),
+    (["summarize", "--records", "{tmp}/bool_reward", "--baseline", "L"],
+     "bool_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)
@@ -468,6 +488,44 @@ def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle
     assert err[0].startswith("error:") and needle in err[0]
     assert captured.out == ""
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("workers, reps, pools", [("64", 2, [2]), ("2", 3, [2]), ("64", 1, []),
+                                                  ("1", 2, [])])
+def test_cli_run_caps_workers_at_reps(tiny4_file, tmp_path, monkeypatch, workers, reps, pools):
+    """The pool is a stand-in that records ``max_workers`` and maps in this
+    process; the pooled run writes the serial run's summary."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench_cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["--reps", str(reps), "--mu", "4", "--generations", "2", "--seeding-generations", "3"]
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(tmp_path / "a"), *args]) == 0
+    monkeypatch.setenv("TTPSOLVE_WORKERS", workers)
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(tmp_path / "b"), *args]) == 0
+    assert started == pools
+    serial, pooled = (json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab")
+    assert pooled == serial
+
+
+def test_cli_run_rejects_non_integer_workers(tiny4_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TTPSOLVE_WORKERS", "two")
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: TTPSOLVE_WORKERS must be an integer, not 'two'"]
 
 
 def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):

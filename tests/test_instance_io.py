@@ -108,23 +108,6 @@ def test_validate_degenerate_speed(tiny4):
     assert len(report) == 1 and "speed range degenerate" in report[0]
 
 
-def test_on_demand_distances_match_matrix():
-    import ttpsolve.instance_io as iio
-    rng = np.random.default_rng(1)
-    coords = rng.uniform(0, 50, (9, 2))
-    with_matrix = make_instance("a", coords, [], 0, 0.1, 1.0, 1.0)
-    old = iio.MATRIX_THRESHOLD
-    iio.MATRIX_THRESHOLD = 0
-    try:
-        without = make_instance("b", coords, [], 0, 0.1, 1.0, 1.0)
-        assert without.dist_matrix is None
-        for i in range(1, 10):
-            for j in range(1, 10):
-                assert distance(with_matrix, i, j) == distance(without, i, j)
-    finally:
-        iio.MATRIX_THRESHOLD = old
-
-
 @pytest.mark.parametrize("vmin, vmax", [("2.0", "1.0"), ("1.0", "1.0"),
                                         ("0", "1.0"), ("-0.1", "1.0")])
 def test_parse_rejects_degenerate_speed_range(vmin, vmax):
@@ -217,6 +200,7 @@ def test_parse_instance_fuzzed_headers(mutations):
     ("\n1 20 2 2\n", "\n1 20 99999999999999999999 2\n", "items' total weight 1000"),
     ("\n1 20 2 2\n", f"\n1 {2**63} 2 2\n", "items' total profit 9223372036854775863"),
     ("\n1 20 2 2\n", f"\n1 20 {2**63 - 5} 2\n", "items' total weight 9223372036854775808"),
+    ("\n1 20 2 2\n", f"\n1 20 2 {2**63}\n", f"item 1 node {2**63} out of range"),
     ("\n2 0 3\n", "\n2 nan 3\n", "coordinates must be finite"),
     ("\n2 0 3\n", "\n2 -inf 3\n", "coordinates must be finite"),
     ("\n2 0 3\n", "\n2 1e150 3\n", "coordinates span too far"),
@@ -230,7 +214,7 @@ def test_parse_rejects_values_beyond_int64(old, new, match):
 
 
 def test_validate_reports_values_beyond_int64(tiny4):
-    """Bad coordinates build no distance matrix, so no cast warns on the way."""
+    """Bad coordinates are reported without a float or cast warning."""
     for x, problem in ((2e18, "coordinates span too far"), (1e150, "coordinates span too far"),
                        (float("nan"), "coordinates must be finite")):
         with warnings.catch_warnings():
@@ -238,7 +222,6 @@ def test_validate_reports_values_beyond_int64(tiny4):
             far = make_instance("far", [(0, 0), (0, 3), (4, 3), (x, 0)], list(tiny4.items),
                                 5, 0.1, 1.0, 1.0)
             assert validate(far)[0].startswith(problem)
-        assert far.dist_matrix is None
 
 
 _BODY_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**20, 10**20),

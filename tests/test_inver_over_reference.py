@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import reference_inver_over as reference
 from conftest import INSTANCES
 from ttpsolve import _kernels
-from ttpsolve.instance_io import _ceil2d_matrix, parse_instance
-from ttpsolve.tours import _dist_matrix
+from ttpsolve.instance_io import _ceil2d, parse_instance
 
 
 def run_both(pop, dist, generations, p_random, seed):
@@ -58,7 +57,8 @@ def test_inver_over_matches_reference(n, ps, p_random, generations, spread, layo
     example makes one reversal, which wraps past index 0; the n = 4 one
     reverses a segment that starts at index 0."""
     rng = np.random.default_rng(layout)
-    dist = _ceil2d_matrix(rng.integers(0, spread, size=(n, 2)).astype(np.float64))
+    xy = rng.integers(0, spread, size=(n, 2)).astype(np.float64)
+    dist = _ceil2d(xy[:, None], xy[None])
     pop = np.array([rng.permutation(n) for _ in range(ps)], np.int64)
     assert_bit_identical(run_both(pop, dist, generations, p_random, seed))
 
@@ -69,7 +69,8 @@ def test_inver_over_matches_reference_on_instances(name):
     rng = np.random.default_rng(3)
     pop = np.array([np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
                     for _ in range(50)], np.int64)
-    assert_bit_identical(run_both(pop, _dist_matrix(inst), 20, 0.02, 11))
+    dist = _ceil2d(inst.coords[:, None], inst.coords[None])
+    assert_bit_identical(run_both(pop, dist, 20, 0.02, 11))
 
 
 SPECIAL_RANGES = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 75, 76,

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttpsolve.instance_io import Item, make_instance, parse_instance
+from ttpsolve.instance_io import (
+    Item, distance, make_instance, parse_instance, serialize_instance,
+)
 from ttpsolve.pwt_dp import (
     _dp_columns, _setup, brute_force_front, dp_front, dp_fronts, evaluate,
     merge_fronts, staircase,
 )
-from ttpsolve.tours import make_tour, reverse_tour
+from ttpsolve.tours import make_tour, reverse_tour, tour_length
 
 from conftest import INSTANCES, random_instance, random_tour
 
@@ -48,9 +50,16 @@ def test_evaluate_two_items(tiny4):
     assert r == pytest.approx(45 - (3 + 7 / 0.64 + 4 / 0.28), abs=1e-6)
 
 
-def test_evaluate_infeasible_still_evaluates(tiny4):
-    r, w = evaluate(tiny4, make_tour(FWD), np.ones(3, bool))
-    assert w == 7 and np.isfinite(r)
+def test_evaluate_rejects_overweight_packing(tiny4):
+    """Above capacity the speed model does not hold: all three of tiny4's
+    items would score above the true optimum, and all of eil51's items
+    (weight 24,557, past vmax / nu = 2,480) would drive the speed below zero."""
+    with pytest.raises(ValueError, match="packing weight 7 exceeds the capacity 5"):
+        evaluate(tiny4, make_tour(FWD), np.ones(3, bool))
+    inst = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    total = int(inst.item_weight.sum())
+    with pytest.raises(ValueError, match=f"packing weight {total} exceeds the capacity 2232"):
+        evaluate(inst, random_tour(np.random.default_rng(0), inst.n), np.ones(inst.m, bool))
 
 
 def test_dp_front_forward(tiny4):
@@ -237,28 +246,24 @@ def test_dp_fronts_equals_dp_front(args):
     assert_same_front(dp_fronts(inst, tours_[-1:])[0], got[-1])
 
 
-def test_dp_fronts_on_demand_distances(monkeypatch):
-    """Without a distance matrix (n above ``MATRIX_THRESHOLD``) every leg
-    comes from ``distance``: ``dp_fronts`` still equals ``dp_front``, and
-    both equal the fronts of the same instance with a matrix."""
-    import ttpsolve.instance_io as iio
+def test_legs_of_a_large_instance():
+    """On 2,101 seeded random cities read from instance text, a tour's
+    length is the sum of :func:`distance` over its legs, and ``dp_fronts``
+    equals ``dp_front``."""
     rng = np.random.default_rng(7)
-    n = 9
-    coords = rng.uniform(0, 80, (n, 2))
-    items = [Item(int(rng.integers(1, 40)), int(rng.integers(1, 15)), node)
-             for node in range(2, n + 1) for _ in range(3)]
-    with_matrix = make_instance("m", coords, items, 60, 0.1, 1.0, 0.7)
-    monkeypatch.setattr(iio, "MATRIX_THRESHOLD", 0)
-    inst = make_instance("d", coords, items, 60, 0.1, 1.0, 0.7)
-    assert inst.dist_matrix is None and with_matrix.dist_matrix is not None
-    tours_ = [random_tour(rng, n) for _ in range(5)]
-    tours_.append(tours_[1])
-    got = dp_fronts(inst, tours_)
-    for t, f, g in zip(tours_, got, dp_fronts(with_matrix, tours_), strict=True):
+    n = 2101
+    coords = rng.integers(0, 5000, (n, 2))
+    items = [Item(int(rng.integers(1, 400)), int(rng.integers(1, 15)), int(node))
+             for node in rng.choice(np.arange(2, n + 1), 40, replace=False)]
+    inst = parse_instance(serialize_instance(
+        make_instance("big", coords, items, 120, 0.1, 1.0, 1e-4)))
+    tours_ = [random_tour(rng, n) for _ in range(3)]
+    for t in tours_:
+        legs = zip(t.tolist(), np.roll(t, -1).tolist())
+        assert tour_length(inst, t) == sum(distance(inst, a, b) for a, b in legs)
+    for t, f in zip(tours_, dp_fronts(inst, tours_), strict=True):
         assert f.rewards.size > 1
         assert_same_front(f, dp_front(inst, t))
-        assert_same_front(f, dp_front(with_matrix, t))
-        assert_same_front(g, dp_front(with_matrix, t))
 
 
 def test_dp_fronts_empty_batch(tiny4):
