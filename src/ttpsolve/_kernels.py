@@ -75,7 +75,7 @@ def dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
     return w_all[sel], b_sorted[keep], took.astype(np.uint8), sel - n_old * took
 
 
-def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu, cap):
+def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
     """``dp_merge`` applied to many columns at once, one item per column.
 
     The columns lie flat in ``old_w``/``old_b``, grouped by the
@@ -85,9 +85,8 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
     same expression in the same operand order, and the sort and pruning are
     the same within each segment.  Returns the flat successor columns
     ``(w, b, seg)``, no back-links.  Rewards must be finite, and the sort
-    key ``seg * (cap + 1) + w`` must fit in int64: ``n_seg * (cap + 1) <
-    2**63``, which ``dp_fronts`` checks with ``cap = min(capacity, total
-    item weight)``.
+    key ``seg * (cap + 1) + w`` must fit in int64, which ``dp_fronts``
+    checks with ``cap = min(capacity, total item weight)``.
     """
     src = np.flatnonzero(old_w + item_w[seg] <= cap)
     t_seg = seg[src]
@@ -102,16 +101,13 @@ def dp_merge_segments(old_w, old_b, seg, n_seg, item_w, item_p, rdist, vmax, nu,
     # the key keeps segments apart, and within a segment both sides have
     # strictly increasing weights, as _merge_order needs.
     order, b_sorted = _merge_order(s_all * (cap + 1) + w_all, np.concatenate((old_b, tb)))
-    s_sorted = s_all[order]
-    # running max within each segment over a padded (segment x width) grid
-    # whose column 0 is -inf, so runmax at cell pos is the best reward before pos
-    counts = np.bincount(s_sorted, minlength=n_seg)
-    width = int(counts.max()) + 1
-    cell = s_sorted * width + np.arange(s_sorted.size) - (np.cumsum(counts) - counts)[s_sorted]
-    grid = np.full(n_seg * width, -np.inf)
-    grid[cell + 1] = b_sorted
-    runmax = np.maximum.accumulate(grid.reshape(n_seg, width), axis=1).ravel()
-    keep = b_sorted > runmax[cell]
+    # numpy orders complex numbers lexicographically, so a (segment, reward)
+    # pair beats the running max before it at its segment's first cell or
+    # where its reward beats every earlier one in its segment
+    pair = np.empty(b_sorted.size, np.complex128)
+    pair.real = s_all[order]
+    pair.imag = b_sorted
+    keep = pair > np.append(-np.inf, np.maximum.accumulate(pair)[:-1])
     sel = order[keep]
     return w_all[sel], b_sorted[keep], s_all[sel]
 
@@ -166,25 +162,23 @@ class _RandomStateReplay:
         return ((next_word() >> 5) * 67108864.0 + (next_word() >> 6)) / 9007199254740992.0
 
 
-def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
+def run_inver_over(pop, dist, generations, p_random, seed):
     """Canonical Inver-over over a population of cyclic 0-based tours.
 
-    Mutates ``pop`` in place and returns the tour lengths.  Acceptance is
-    monotone: a mutated individual replaces its ancestor only when not
-    longer.  With fewer than 3 cities no reversal is possible, so ``pop``
-    is left as it is and ``hook`` is not called.  Otherwise the result
-    is bit for bit that of the scalar loop drawing from ``RandomState(seed)``
-    one call at a time (``tests/reference_inver_over.py``): this loop runs
-    on Python lists and replays those draws from bulk-drawn MT19937 words
-    (``_RandomStateReplay``).  ``hook(ancestor_length, accepted_length)``,
-    if given, observes every acceptance; it does not change the result.
+    Mutates ``pop`` in place.  Acceptance is monotone: a mutated individual
+    replaces its ancestor only when not longer.  With fewer than 3 cities
+    no reversal is possible, so ``pop`` is left as it is.  Otherwise the
+    result is bit for bit that of the scalar loop drawing from
+    ``RandomState(seed)`` one call at a time
+    (``tests/reference_inver_over.py``): this loop runs on Python lists and
+    replays those draws from bulk-drawn MT19937 words
+    (``_RandomStateReplay``).
     """
     ps, n = pop.shape
+    if n < 3:
+        return
     d = dist.tolist()
     tours = pop.tolist()
-    lengths = [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)]
-    if n < 3:
-        return np.array(lengths, np.int64)
     rng = _RandomStateReplay(seed)
     random_city = rng.randint_of(n)
     random_other = rng.randint_of(ps)
@@ -226,10 +220,6 @@ def run_inver_over(pop, dist, generations, p_random, seed, hook=None):
                 i = a
                 c = c2
             if delta <= 0:
-                if hook is not None:
-                    hook(lengths[s], lengths[s] + delta)
                 tours[s] = cur
-                lengths[s] += delta
     pop[:] = tours
-    return np.array(lengths, np.int64)
 

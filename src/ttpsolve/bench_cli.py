@@ -340,12 +340,24 @@ def read_summary(run_dir):
     return meta
 
 
+def read_labelled(run_dirs):
+    """``{label: (run_dir, summary)}`` over ``run_dirs``; the label keys the
+    outputs, so two dirs with one label raise ``ValueError``."""
+    labelled = {}
+    for run_dir in run_dirs:
+        meta = read_summary(run_dir)
+        label = meta["label"]
+        if label in labelled:
+            raise ValueError(f"label {label!r} repeats: {labelled[label][0]} and {run_dir}")
+        labelled[label] = (run_dir, meta)
+    return labelled
+
+
 def cli_summarize(args):
     record_sets = {}
     instances = set()
-    for run_dir in args.records:
-        meta = read_summary(run_dir)
-        record_sets[meta["label"]] = final_metrics(run_dir)
+    for label, (run_dir, meta) in read_labelled(args.records).items():
+        record_sets[label] = final_metrics(run_dir)
         instances.add(meta["instance"])
     if len(instances) > 1:
         raise ValueError(f"mismatched instance sets: {sorted(instances)}")
@@ -395,13 +407,12 @@ def cli_plotdata(args):
         emit_convergence_csv([read_records(p) for p in _rep_files(args.records[0])],
                              out_dir / "convergence.csv")
     else:  # boxplot
-        labelled = {}
-        for run_dir in args.records:
-            meta = read_summary(run_dir)
+        rewards = {}
+        for label, (run_dir, meta) in read_labelled(args.records).items():
             if not meta["repetitions"]:
                 raise ValueError(f"{run_dir}: summary.json lists no repetitions")
-            labelled[meta["label"]] = [r["best_reward"] for r in meta["repetitions"]]
-        emit_boxplot_csv(labelled, out_dir / "boxplot.csv")
+            rewards[label] = [r["best_reward"] for r in meta["repetitions"]]
+        emit_boxplot_csv(rewards, out_dir / "boxplot.csv")
     print(f"plot data written to {out_dir}")
     return 0
 

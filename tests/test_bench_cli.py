@@ -399,6 +399,19 @@ def _write_cli_inputs(tmp_path):
     for name, doc in summaries.items():
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(json.dumps(doc))
+    (tmp_path / "huge_capacity.ttp").write_text(
+        TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: " + "9" * 401))
+    # the header and section lines of tiny4, with no cities and no items
+    no_cities = TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION: 0").replace(
+        "NUMBER OF ITEMS: 3", "NUMBER OF ITEMS: 0").splitlines()
+    (tmp_path / "no_cities.ttp").write_text(
+        "\n".join(ln for ln in no_cities if not ln[:1].isdigit()) + "\n")
+    # two runs that differ only in their seed share the label fps-lhv
+    for name, seed in (("fps_seed_1", 1), ("fps_seed_50", 50)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(
+            {"label": "fps-lhv", "instance": "tiny4", "config": {"seed": seed},
+             "repetitions": [{"best_reward": 1.0}]}))
     (tmp_path / "int_tour.json").write_text("[1]")
     (tmp_path / "not_list.json").write_text("5")
     (tmp_path / "float_city.json").write_text("[[1, 2.7, 3, 4]]")
@@ -475,10 +488,25 @@ def _write_cli_inputs(tmp_path):
      "text_generation/rep_000.jsonl, line 2: 'generation' is missing or not a number"),
     (["summarize", "--records", "{tmp}/bool_reward", "--baseline", "L"],
      "bool_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number"),
+    (["dpfront", "--instance", "{tmp}/huge_capacity.ttp", "--tour", "1,2,3,4"],
+     "CAPACITY OF KNAPSACK 999"),
+    (["seed-tours", "--instance", "{tmp}/no_cities.ttp", "--pop", "4"], "DIMENSION 0 is below 1"),
+    (["run", "--instance", "{tmp}/no_cities.ttp", "--out", "{tmp}/o"], "DIMENSION 0 is below 1"),
+    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
+      "--tournament-size", "0"], "tournament_size must be >= 1"),
+    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
+      "--tournament-size", "-1"], "tournament_size must be >= 1"),
+    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--generations", "-1"],
+     "generations must be >= 0"),
+    (["summarize", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50", "--baseline",
+      "fps-lhv"], "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50"],
+     "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)
     argv = [a.format(tmp=tmp_path, tiny4=tiny4_file) for a in argv]
+    needle = needle.format(tmp=tmp_path)
     out = tmp_path / "plots"
     rc = main(argv + (["--out", str(out)] if argv[0] == "plotdata" else []))
     assert rc == 2

@@ -215,7 +215,9 @@ def test_final_population_fronts_values_and_surface(tiny4, indicator, both):
 
 
 @pytest.mark.parametrize("both", [False, True])
-def test_fill_computes_each_distinct_tour_once(tiny4, monkeypatch, both):
+def test_fill_batches_the_tours_as_given(tiny4, monkeypatch, both):
+    """One ``dp_fronts`` batch over the tours in order, repeats included,
+    then their reversals if ``both``."""
     batches, dp_fronts = [], pwt_dp.dp_fronts
 
     def recording_dp_fronts(inst, batch):
@@ -226,9 +228,9 @@ def test_fill_computes_each_distinct_tour_once(tiny4, monkeypatch, both):
     a, b = make_tour([1, 2, 3, 4]), make_tour([1, 3, 2, 4])
     cache = _FrontCache(tiny4, both)
     cache.fill([a, b, a.copy(), b, a])
-    want = [[1, 2, 3, 4], [1, 3, 2, 4]]
+    want = [[1, 2, 3, 4], [1, 3, 2, 4], [1, 2, 3, 4], [1, 3, 2, 4], [1, 2, 3, 4]]
     if both:
-        want += [[1, 4, 3, 2], [1, 4, 2, 3]]
+        want += [[1, 4, 3, 2], [1, 4, 2, 3], [1, 4, 3, 2], [1, 4, 2, 3], [1, 4, 3, 2]]
     assert batches == [want]
     for t in (a, b):
         _assert_same_points(cache.get(t.copy()), _fresh_front(tiny4, t, both))
@@ -258,6 +260,16 @@ def test_callback_stops_early(tiny4):
     assert res.records[-1].generation == 5
 
 
+def test_callback_sees_every_record(tiny4):
+    """Generation 0 (the seed tours) and each of the ``generations`` after it
+    reach the callback once, the last one included."""
+    seen = []
+    cfg = IbeaConfig(mu=4, generations=6, seed=2, seeding_generations=10)
+    res = run_ibea(tiny4, cfg, callback=seen.append)
+    assert [rec.generation for rec in seen] == list(range(7))
+    assert seen == res.records
+
+
 def test_both_orientations_front_merges(tiny4):
     cfg = IbeaConfig(mu=4, generations=5, seed=4, seeding_generations=10,
                      both_orientations=True)
@@ -275,6 +287,12 @@ def test_config_validation():
         IbeaConfig(indicator="nope")
     with pytest.raises(ValueError):
         IbeaConfig(selection="nope")
+    with pytest.raises(ValueError, match="generations must be >= 0"):
+        IbeaConfig(generations=-1)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="tournament_size must be >= 1"):
+            IbeaConfig(selection="ts", tournament_size=size)
+    assert IbeaConfig(generations=0, tournament_size=1).tournament_size == 1
 
 
 # Frozen (best_reward, population_hv, archive_hv) of short seeded eil51 runs.

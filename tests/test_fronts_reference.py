@@ -1,5 +1,6 @@
 """The vectorised front algebra equals the loop-based reference bit for bit."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -198,9 +199,31 @@ def test_trimming_rescores_only_after_contributor_removals(case):
 @settings(max_examples=200, deadline=None)
 @given(populations())
 def test_archive_matches_reference(pop):
+    """Fronts added one per batch match the reference after each add; the
+    same fronts in one batch, or in two, match it after the last add."""
     archive, want = evolve._Archive(pop[0].capacity), ref.ReferenceArchive()
     for f in pop:
-        archive.add(f)
+        archive.add([f])
         want.add(f)
         assert_same_array(archive.rewards, want.rewards)
         assert_same_array(archive.weights, want.weights)
+    half = len(pop) // 2
+    for batches in ([pop], [pop[:half], pop[half:]]):
+        batched = evolve._Archive(pop[0].capacity)
+        for batch in batches:
+            batched.add(batch)
+        assert_same_array(batched.rewards, want.rewards)
+        assert_same_array(batched.weights, want.weights)
+        assert batched.best_reward == archive.best_reward
+        assert np.array_equal(batched.best_tour, archive.best_tour)
+
+
+def test_archive_best_tour_is_first_of_tied_tops():
+    """Of two fronts tied on the top reward, the first one sets ``best_tour``."""
+    low, first, second = (dataclasses.replace(make_front(r, [0, 2], 4), tour=np.array(t))
+                          for r, t in (([1.0, 3.0], [1, 2, 3]), ([0.0, 7.5], [1, 3, 2]),
+                                       ([2.0, 7.5], [1, 2, 3])))
+    archive = evolve._Archive(4)
+    archive.add([low, first, second])
+    assert archive.best_reward == 7.5
+    assert archive.best_tour.tolist() == [1, 3, 2]

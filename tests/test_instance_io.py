@@ -205,6 +205,10 @@ def test_parse_instance_fuzzed_headers(mutations):
     ("\n2 0 3\n", "\n2 -inf 3\n", "coordinates must be finite"),
     ("\n2 0 3\n", "\n2 1e150 3\n", "coordinates span too far"),
     ("\n2 0 3\n", "\n2 2e18 3\n", "coordinates span too far"),
+    ("CAPACITY OF KNAPSACK: 5", f"CAPACITY OF KNAPSACK: {2**63}",
+     f"CAPACITY OF KNAPSACK {2**63} is beyond int64"),
+    ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: " + "9" * 401,
+     "CAPACITY OF KNAPSACK 999"),
 ])
 def test_parse_rejects_values_beyond_int64(old, new, match):
     with warnings.catch_warnings():

@@ -104,14 +104,33 @@ def segment_inputs(draw):
     return cols, vmax, nu, cap
 
 
+def _segment_case(cols, cap):
+    """``segment_inputs``' form of ``(old_w, old_b, item_w, item_p)`` columns,
+    with no rent and ``vmin = 0.1``."""
+    nu = 0.9 / cap
+    return [(np.array(w, np.int64), np.array(b, np.float64), iw, float(ip), 0.0, 1.0, nu, cap)
+            for w, b, iw, ip in cols], 1.0, nu, cap
+
+
+# the second column's rewards all lie below the first's best, so a running
+# max carried across segments would prune them
+LOWER_LATER_SEGMENT = _segment_case([([0, 2, 4], [10, 20, 30], 2, 4),
+                                     ([0, 1], [-5, -2], 1, 1)], 6)
+# the middle column's item is too heavy to take, so it stays one cell
+ONE_CELL_BETWEEN_WIDE = _segment_case([([0, 1, 2, 4, 5], [-3, 1, 2, 6, 9], 1, 2),
+                                       ([0], [0], 7, 5),
+                                       ([0, 2, 3, 5], [1, 4, 5, 8], 1, 3)], 6)
+
+
 @settings(max_examples=300, deadline=None)
 @given(segment_inputs())
+@example(LOWER_LATER_SEGMENT)
+@example(ONE_CELL_BETWEEN_WIDE)
 def test_dp_merge_segments_equals_per_column(args):
     cols, vmax, nu, cap = args
-    n_seg = len(cols)
     got_w, got_b, got_s = _kernels.dp_merge_segments(
         np.concatenate([c[0] for c in cols]), np.concatenate([c[1] for c in cols]),
-        np.repeat(np.arange(n_seg), [c[0].size for c in cols]), n_seg,
+        np.repeat(np.arange(len(cols)), [c[0].size for c in cols]),
         np.array([c[2] for c in cols], np.int64), np.array([c[3] for c in cols]),
         np.array([c[4] for c in cols]), vmax, nu, cap)
     assert np.all(np.diff(got_s) >= 0)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttpsolve
-from ttpsolve.instance_io import make_instance
+from ttpsolve import _kernels
+from ttpsolve.instance_io import _ceil2d, make_instance
 from ttpsolve.tours import (
     crossover, inver_over, is_valid_tour, jump_mutate, make_tour,
     order_crossover, reverse_tour, tour_length, two_opt_mutate,
@@ -131,12 +132,21 @@ def test_inver_over_returns_valid_tours():
 
 
 def test_inver_over_monotone_acceptance():
+    """An individual is replaced only by a tour no longer than itself, so
+    each ends no longer than it started."""
     rng = np.random.default_rng(9)
     inst = _square_instance(rng, n=12)
-    accepted = []
-    inver_over(inst, 5, 40, rng=rng, hook=lambda old, new: accepted.append((old, new)))
-    assert accepted, "expected at least one acceptance event"
-    assert all(new <= old for old, new in accepted)
+    dist = _ceil2d(inst.coords[:, None], inst.coords[None])
+    pop = np.array([rng.permutation(inst.n) for _ in range(5)], np.int64)
+
+    def lengths():
+        return dist[pop, np.roll(pop, -1, axis=1)].sum(axis=1)
+
+    before = lengths()
+    _kernels.run_inver_over(pop, dist, 40, 0.02, 3)
+    after = lengths()
+    assert np.all(after <= before)
+    assert np.any(after < before), "expected at least one improvement"
 
 
 def test_inver_over_three_cities_all_equal():
