@@ -38,12 +38,13 @@ def _merge_order(key, b_all):
     only if its reward is strictly greater.  Returns ``order`` and
     ``b_all[order]``.
     """
-    order = np.argsort(key, kind="stable")
+    order = key.argsort(kind="stable")
     k_sorted = key[order]
     b_sorted = b_all[order]
-    swap = np.flatnonzero((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1]))
-    order[swap], order[swap + 1] = order[swap + 1], order[swap]
-    b_sorted[swap], b_sorted[swap + 1] = b_sorted[swap + 1], b_sorted[swap]
+    swap = ((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1])).nonzero()[0]
+    if swap.size:
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+        b_sorted[swap], b_sorted[swap + 1] = b_sorted[swap + 1], b_sorted[swap]
     return order, b_sorted
 
 
@@ -86,13 +87,15 @@ def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
     the same within each segment.  Returns the flat successor columns
     ``(w, b, seg)``, no back-links.  Rewards must be finite, and the sort
     key ``seg * (cap + 1) + w`` must fit in int64, which ``dp_fronts``
-    checks with ``cap = min(capacity, total item weight)``.
+    ensures by splitting its batch, with ``cap = min(capacity, total item
+    weight)``.
     """
-    src = np.flatnonzero(old_w + item_w[seg] <= cap)
-    t_seg = seg[src]
-    tw = old_w[src] + item_w[t_seg]
-    tb = old_b[src] + item_p[t_seg] - rdist[t_seg] * (
-        1.0 / (vmax - nu * tw) - 1.0 / (vmax - nu * old_w[src]))
+    tw = old_w + item_w[seg]
+    fit = tw <= cap
+    tw = tw[fit]
+    t_seg = seg[fit]
+    tb = old_b[fit] + item_p[t_seg] - rdist[t_seg] * (
+        1.0 / (vmax - nu * tw) - 1.0 / (vmax - nu * old_w[fit]))
 
     w_all = np.concatenate((old_w, tw))
     s_all = np.concatenate((seg, t_seg))
@@ -101,15 +104,17 @@ def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
     # the key keeps segments apart, and within a segment both sides have
     # strictly increasing weights, as _merge_order needs.
     order, b_sorted = _merge_order(s_all * (cap + 1) + w_all, np.concatenate((old_b, tb)))
+    s_sorted = s_all[order]
     # numpy orders complex numbers lexicographically, so a (segment, reward)
     # pair beats the running max before it at its segment's first cell or
     # where its reward beats every earlier one in its segment
     pair = np.empty(b_sorted.size, np.complex128)
-    pair.real = s_all[order]
+    pair.real = s_sorted
     pair.imag = b_sorted
-    keep = pair > np.append(-np.inf, np.maximum.accumulate(pair)[:-1])
-    sel = order[keep]
-    return w_all[sel], b_sorted[keep], s_all[sel]
+    keep = np.empty(pair.size, bool)
+    keep[:1] = True
+    np.greater(pair[1:], np.maximum.accumulate(pair)[:-1], out=keep[1:])
+    return w_all[order[keep]], b_sorted[keep], s_sorted[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,11 @@ def read_summary(run_dir):
     for i, rep in enumerate(meta["repetitions"]):
         if not isinstance(rep, dict) or "best_reward" not in rep:
             raise ValueError(f"{path}: repetition {i} has no 'best_reward'")
+        value = rep["best_reward"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{path}: repetition {i}: 'best_reward' {value!r} "
+                             "is not a finite number")
     return meta
 
 

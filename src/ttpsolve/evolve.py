@@ -147,7 +147,9 @@ def survivor_select(pop, mu, rng, kind, pool):
 
     ``pool`` is the :class:`fronts.SurfacePool` of ``pop``'s fronts that
     :func:`compute_indicators` scored them against.  Ties break uniformly at
-    random.  After every removal the rest are rescored against
+    random, by ``ties[rng.integers(0, ties.size)]``: the draw (and the
+    stream state after it) of ``rng.choice(ties)``, at a quarter of the
+    cost.  After every removal the rest are rescored against
     ``pool.remove(gone)``, since removing a contributor changes the surface;
     the survivors come back in population order with fresh values, and
     ``pool.surface`` is their surface.
@@ -160,12 +162,14 @@ def survivor_select(pop, mu, rng, kind, pool):
     pop = list(pop)
     values = np.array([ind.value for ind in pop])
     while len(pop) > mu:
-        gone = int(rng.choice(np.flatnonzero(values == values.min())))
+        ties = (values == values.min()).nonzero()[0]
+        gone = int(ties[rng.integers(0, ties.size)])
         pop.pop(gone)
         if pop:
             contributed = pool.surface.membership[gone].any()
             surf = pool.remove(gone)
-            values = fr.all_indicators(surf, kind) if contributed else np.delete(values, gone)
+            values = fr.all_indicators(surf, kind) if contributed \
+                else np.concatenate((values[:gone], values[gone + 1:]))
     for ind, v in zip(pop, values.tolist()):
         ind.value = v
     return pop
@@ -248,11 +252,10 @@ def mate(parents, cfg, rng):
         n = child.size
         if n > 2:
             if rng.random() < cfg.mutation_split:
-                i, j = sorted(rng.integers(2, n + 1, size=2))
-                child = tours.two_opt_mutate(child, int(i), int(j))
+                i, j = sorted(tours.random_positions(rng, n))
+                child = tours.two_opt_mutate(child, i, j)
             else:
-                frm, to = rng.integers(2, n + 1, size=2)
-                child = tours.jump_mutate(child, int(frm), int(to))
+                child = tours.jump_mutate(child, *tours.random_positions(rng, n))
         children.append(child)
     return children
 

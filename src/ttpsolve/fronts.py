@@ -102,8 +102,9 @@ class SurfacePool:
             self.surface = self._scan()
         else:
             s = self.surface
+            rows = s.membership
             self.surface = Surface(rewards=s.rewards, weights=s.weights,
-                                   membership=np.delete(s.membership, i, axis=0),
+                                   membership=np.concatenate((rows[:i], rows[i + 1:])),
                                    fronts=s.fronts[:i] + s.fronts[i + 1:],
                                    capacity=s.capacity)
         return self.surface

@@ -262,7 +262,7 @@ def serialize_instance(inst: Instance) -> str:
         "NODE_COORD_SECTION\t(INDEX, X, Y):",
     ]
     for i, (x, y) in enumerate(inst.coords, start=1):
-        out.append(f"{i} {x:g} {y:g}")
+        out.append(f"{i} {x:.17g} {y:.17g}")
     out.append("ITEMS SECTION\t(INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):")
     for i, it in enumerate(inst.items, start=1):
         out.append(f"{i} {it.profit} {it.weight} {it.node}")

@@ -13,13 +13,13 @@ back-links, and rebuilds packing plans by back-walking them; the batched
 for the DP.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 import json
 
 import numpy as np
 
 from . import _kernels
-from .instance_io import Instance
+from .instance_io import INT64_MAX, Instance
 from .tours import _legs
 
 REWARD_RTOL = 1e-9       # oracle-equivalence tolerance on rewards
@@ -191,16 +191,21 @@ def dp_fronts(inst: Instance, tours) -> list:
 
     The merge sorts on an int64 key ``segment * (cap + 1) + weight``, where
     ``cap = min(capacity, total item weight)`` takes the same items as the
-    capacity.  A batch needs ``len(tours) * (cap + 1) < 2**63``; a larger
-    one raises ``ValueError``.
+    capacity.  The tours run in sub-batches of at most
+    ``(2**63 - 1) // (cap + 1)`` tours, so that the key fits; fronts are per
+    tour, so the split changes no point.  Where not even one tour fits
+    (``cap == 2**63 - 1``), each front is ``dp_front``'s, without its plans.
     """
+    cap = min(inst.capacity, sum(inst.item_weight.tolist()))
+    per_batch = INT64_MAX // (cap + 1)
+    if per_batch == 0:
+        return [replace(dp_front(inst, t), plans_packed=None) for t in tours]
+    if len(tours) > per_batch:
+        return [f for k in range(0, len(tours), per_batch)
+                for f in dp_fronts(inst, tours[k:k + per_batch])]
     n_seg = len(tours)
     if n_seg == 0:
         return []
-    cap = min(inst.capacity, sum(inst.item_weight.tolist()))
-    if n_seg * (cap + 1) >= 2**63:
-        raise ValueError(f"dp_fronts: {n_seg} tours at capacity {cap} overflow the int64 sort "
-                         "key (needs tours x (min(capacity, total item weight) + 1) < 2**63)")
     tour_mat = np.array(tours, np.int64).reshape(n_seg, inst.n)
     orders, rd_rows, b = _setup(inst, tour_mat)
     item_w = inst.item_weight[orders]
@@ -211,10 +216,10 @@ def dp_fronts(inst: Instance, tours) -> list:
         w, b, seg = _kernels.dp_merge_segments(
             w, b, seg, item_w[:, j], item_p[:, j], rd_rows[:, j], inst.vmax, inst.nu, cap)
 
-    cuts = np.cumsum(np.bincount(seg, minlength=n_seg))[:-1]
-    return [DpFront(tour=t.copy(), rewards=rs.copy(), weights=ws.copy(), plans_packed=None,
-                    m=inst.m, capacity=inst.capacity)
-            for t, rs, ws in zip(tours, np.split(b, cuts), np.split(w, cuts))]
+    ends = np.cumsum(np.bincount(seg, minlength=n_seg)).tolist()
+    return [DpFront(tour=t.copy(), rewards=b[lo:hi].copy(), weights=w[lo:hi].copy(),
+                    plans_packed=None, m=inst.m, capacity=inst.capacity)
+            for t, lo, hi in zip(tours, [0] + ends[:-1], ends)]
 
 
 def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:

@@ -16,7 +16,8 @@ from ttpsolve.bench_cli import (
 )
 from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
 from ttpsolve.fronts import INDICATOR_KINDS
-from ttpsolve.pwt_dp import dp_front
+from ttpsolve.instance_io import parse_instance
+from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate
 from ttpsolve.tours import make_tour
 
 from conftest import INSTANCES, TINY4_TEXT
@@ -361,9 +362,9 @@ def test_cli_config_file_values_reach_every_rep(tiny4_file, tmp_path, monkeypatc
     assert config == {**NON_DEFAULT_CONFIG, "seed": 5, "reps": 3}
 
 
-def test_cli_run_capacity_beyond_batch_key(tmp_path, capsys):
-    """A capacity beyond the batch key's range runs when the items weigh
-    little; items that weigh that much too give one error line."""
+def test_cli_run_capacity_beyond_batch_key(tmp_path):
+    """A capacity beyond the batch key's range runs, whether the items weigh
+    little or that much too (the DP batch then splits)."""
     huge = TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5000000000000000000")
     inst_file = tmp_path / "huge.ttp"
     args = ["run", "--instance", str(inst_file), "--out", str(tmp_path / "o"), "--mu", "6",
@@ -374,15 +375,18 @@ def test_cli_run_capacity_beyond_batch_key(tmp_path, capsys):
     # the knapsack takes every item at no speed loss: 75 profit less 14 rent
     assert summary["repetitions"][0]["best_reward"] == pytest.approx(61.0)
     assert summary["repetitions"][0]["best_plan"] == [1, 2, 3]
-    # every item at 2e18: a batch of two tours already overflows the key
+    # every item at 2e18: a batch of two tours already overflows the key,
+    # so the DP runs one tour at a time
     inst_file.write_text(huge.replace(" 2 2\n", " 2000000000000000000 2\n")
                          .replace(" 3 3\n", " 2000000000000000000 3\n")
                          .replace(" 2 4\n", " 2000000000000000000 4\n"))
-    capsys.readouterr()
-    assert main(args) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error:") and "capacity 5000000000000000000" in err[0]
+    heavy = parse_instance(inst_file.read_text())
+    assert main(args) == 0
+    rep = json.loads((tmp_path / "o" / "summary.json").read_text())["repetitions"][0]
+    taken = np.isin(np.arange(1, heavy.m + 1), rep["best_plan"])
+    reward, weight = evaluate(heavy, np.array(rep["best_tour"]), taken)
+    assert reward == pytest.approx(rep["best_reward"], rel=REWARD_RTOL)
+    assert 0 < weight <= heavy.capacity
 
 
 def _write_cli_inputs(tmp_path):
@@ -395,6 +399,18 @@ def _write_cli_inputs(tmp_path):
         "no_repetitions": {"label": "L", "instance": "tiny4"},
         "rep_without_reward": {"label": "L", "instance": "tiny4",
                                "repetitions": [{"best_reward": 1.0}, {"seed": 2}]},
+        "null_reward": {"label": "L", "instance": "tiny4",
+                        "repetitions": [{"best_reward": 3.0}, {"best_reward": None}]},
+        "bool_rep_reward": {"label": "L", "instance": "tiny4",
+                            "repetitions": [{"best_reward": 3.0}, {"best_reward": True}]},
+        "text_reward": {"label": "L", "instance": "tiny4",
+                        "repetitions": [{"best_reward": "x"}]},
+        "inf_reward": {"label": "L", "instance": "tiny4",
+                       "repetitions": [{"best_reward": 3.0}, {"best_reward": math.inf}]},
+        "nan_reward": {"label": "L", "instance": "tiny4",
+                       "repetitions": [{"best_reward": math.nan}]},
+        "huge_reward": {"label": "L", "instance": "tiny4",
+                        "repetitions": [{"best_reward": 10**400}]},
     }
     for name, doc in summaries.items():
         (tmp_path / name).mkdir()
@@ -502,6 +518,22 @@ def _write_cli_inputs(tmp_path):
       "fps-lhv"], "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
     (["plotdata", "--mode", "boxplot", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50"],
      "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/null_reward"],
+     "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/bool_rep_reward"],
+     "bool_rep_reward/summary.json: repetition 1: 'best_reward' True is not a finite number"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/text_reward"],
+     "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/inf_reward"],
+     "inf_reward/summary.json: repetition 1: 'best_reward' inf is not a finite number"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/nan_reward"],
+     "nan_reward/summary.json: repetition 0: 'best_reward' nan is not a finite number"),
+    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/huge_reward"],
+     "huge_reward/summary.json: repetition 0: 'best_reward' 1000"),
+    (["summarize", "--records", "{tmp}/null_reward", "--baseline", "L"],
+     "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
+    (["summarize", "--records", "{tmp}/text_reward", "--baseline", "L"],
+     "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

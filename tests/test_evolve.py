@@ -3,7 +3,7 @@ import pytest
 
 from conftest import INSTANCES
 
-from ttpsolve import fronts, pwt_dp
+from ttpsolve import fronts, pwt_dp, tours
 from ttpsolve.evolve import (
     IbeaConfig, Individual, _FrontCache, compute_indicators, mate, parent_select, run_ibea,
     selection_probabilities, survivor_select,
@@ -72,6 +72,26 @@ def test_survivor_tie_break_uniform(tiny4):
         removed[gone] += 1
     freq = removed / removed.sum()
     assert np.all(np.abs(freq - 1 / 3) < 0.02)
+
+
+def test_cheap_draws_equal_the_numpy_calls():
+    """``survivor_select`` draws a tie as ``ties[rng.integers(0, ties.size)]``
+    and ``mate`` draws cut positions with ``tours.random_positions``: each
+    gives the value of the call it replaced (``rng.choice(ties)``, and
+    ``rng.integers(2, n + 1, size=2)``) and leaves the stream where that
+    call does, so trimming and mating keep their draws."""
+    for seed in range(8):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in range(1, 51):
+            ties = np.arange(size) * 7 + 3
+            for _ in range(3):
+                assert ties[mine.integers(0, ties.size)] == theirs.choice(ties)
+                assert mine.bit_generator.state == theirs.bit_generator.state
+        for n in list(range(2, 61)) + [1000, 2**32, 2**40]:
+            mine.random(), theirs.random()
+            assert tours.random_positions(mine, n) == \
+                tuple(theirs.integers(2, n + 1, size=2).tolist())
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 def test_selection_probabilities_closed_forms():

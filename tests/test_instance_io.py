@@ -11,7 +11,7 @@ from ttpsolve.instance_io import (
     serialize_instance, validate,
 )
 from ttpsolve.pwt_dp import dp_front
-from ttpsolve.tours import make_tour
+from ttpsolve.tours import make_tour, tour_length
 
 from conftest import TINY4_TEXT
 
@@ -88,6 +88,17 @@ def test_roundtrip():
     assert again.items == inst.items
     assert (again.capacity, again.vmin, again.vmax, again.rent, again.nu) == \
            (inst.capacity, inst.vmin, inst.vmax, inst.rent, inst.nu)
+
+
+def test_roundtrip_keeps_coordinate_precision():
+    """Coordinates come back bit for bit, so tour lengths do too; six
+    significant digits turned (1234567.5, 0.123456789) into (1234570, 0.123457)."""
+    inst = make_instance("fine3", [(0, 0), (1234567.5, 0.123456789), (0.1, 1e-7)], [], 0,
+                         0.1, 1.0, 1.0)
+    again = parse_instance(serialize_instance(inst))
+    assert again.coords.tobytes() == inst.coords.tobytes()
+    t = make_tour([1, 2, 3])
+    assert tour_length(again, t) == tour_length(inst, t)
 
 
 def test_validate_clean(tiny4):

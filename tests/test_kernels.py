@@ -121,11 +121,22 @@ ONE_CELL_BETWEEN_WIDE = _segment_case([([0, 1, 2, 4, 5], [-3, 1, 2, 6, 9], 1, 2)
                                        ([0], [0], 7, 5),
                                        ([0, 2, 3, 5], [1, 4, 5, 8], 1, 3)], 6)
 
+# neither column's item fits on any cell, so the batch has no take cells
+NO_TAKE_FITS = _segment_case([([0, 2], [1, 3], 5, 4),
+                              ([0, 1, 3], [0, 2, 5], 6, 1)], 4)
+# in the first column the take cell at weight 2 beats the keep cell there
+# and must swap ahead of it; in the second the pair at weight 3 ties on
+# reward, so the keep cell stays first
+TAKE_WINS_EQUAL_WEIGHT = _segment_case([([0, 2], [1, 2], 2, 5),
+                                        ([0, 3], [0, 1], 3, 1)], 6)
+
 
 @settings(max_examples=300, deadline=None)
 @given(segment_inputs())
 @example(LOWER_LATER_SEGMENT)
 @example(ONE_CELL_BETWEEN_WIDE)
+@example(NO_TAKE_FITS)
+@example(TAKE_WINS_EQUAL_WEIGHT)
 def test_dp_merge_segments_equals_per_column(args):
     cols, vmax, nu, cap = args
     got_w, got_b, got_s = _kernels.dp_merge_segments(
@@ -135,8 +146,10 @@ def test_dp_merge_segments_equals_per_column(args):
         np.array([c[4] for c in cols]), vmax, nu, cap)
     assert np.all(np.diff(got_s) >= 0)
     for s, (old_w, old_b, item_w, item_p, rdist, *_) in enumerate(cols):
-        want = _kernels.dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)[:2]
         mine = got_s == s
-        for g, w in zip((got_w[mine], got_b[mine]), want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
+        # the scalar merge too, since dp_merge shares _merge_order
+        for merge in (_kernels.dp_merge, _dp_merge_loop):
+            want = merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)[:2]
+            for g, w in zip((got_w[mine], got_b[mine]), want):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttpsolve.evolve import IbeaConfig, run_ibea
 from ttpsolve.instance_io import (
-    Item, distance, make_instance, parse_instance, serialize_instance,
+    Item, distance, make_instance, parse_instance, serialize_instance, validate,
 )
 from ttpsolve.pwt_dp import (
-    _dp_columns, _setup, brute_force_front, dp_front, dp_fronts, evaluate,
+    REWARD_RTOL, _dp_columns, _setup, brute_force_front, dp_front, dp_fronts, evaluate,
     merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour, tour_length
@@ -354,9 +355,10 @@ def test_dp_fronts_equals_dp_front_wide():
 @pytest.mark.parametrize("n_tours", [1, 2, 6])
 def test_dp_fronts_sort_key_bound(tiny4, n_tours):
     """The sort key is bounded by min(capacity, total item weight): at the
-    largest such bound that fits int64, ``dp_fronts`` gives ``dp_front``'s
-    points whatever the capacity above it; one more raises a ValueError
-    naming the bound and the batch size."""
+    largest such bound that lets the whole batch share one key, and at one
+    more (which splits it into sub-batches, or for one tour leaves no
+    batch at all), ``dp_fronts`` gives ``dp_front``'s points whatever the
+    capacity above it."""
     fit = (2**63 - 1) // n_tours - 1
     tours_ = ([make_tour(FWD), make_tour(REV)] * 3)[:n_tours]
     for total in (fit, fit + 1):
@@ -365,17 +367,16 @@ def test_dp_fronts_sort_key_bound(tiny4, n_tours):
         for cap in (total, 2**63 - 1):
             inst = make_instance("tiny4", tiny4.coords, heavy, cap,
                                  tiny4.vmin, tiny4.vmax, tiny4.rent)
-            if total == fit:
-                for t, f in zip(tours_, dp_fronts(inst, tours_)):
-                    assert_same_front(f, dp_front(inst, t))
-            else:
-                with pytest.raises(ValueError, match=f"{n_tours} tours at capacity {total}"):
-                    dp_fronts(inst, tours_)
+            got = dp_fronts(inst, tours_)
+            assert len(got) == n_tours
+            for t, f in zip(tours_, got):
+                assert_same_front(f, dp_front(inst, t))
 
 
-def test_dp_fronts_rejects_wrapping_capacity():
-    """A capacity beyond the key's range is refused only if the items weigh
-    that much too; light items leave ``dp_front``'s points."""
+def test_dp_fronts_wrapping_capacity_equals_dp_front():
+    """A capacity beyond the key's range gives ``dp_front``'s points, in
+    one batch when the items weigh little and in sub-batches when they
+    weigh that much too."""
     text = (INSTANCES / "tiny4.ttp").read_text().replace(
         "CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 4000000000000000000")
     tours_ = [make_tour(FWD), make_tour(REV)] * 3
@@ -386,5 +387,28 @@ def test_dp_fronts_rejects_wrapping_capacity():
     heavy = parse_instance(text.replace(" 2 2\n", " 2000000000000000000 2\n")
                            .replace(" 3 3\n", " 3000000000000000000 3\n"))
     assert all(dp_front(heavy, t).rewards.size > 1 for t in tours_)
-    with pytest.raises(ValueError, match="6 tours at capacity 4000000000000000000"):
-        dp_fronts(heavy, tours_)
+    for t, f in zip(tours_, dp_fronts(heavy, tours_)):
+        assert_same_front(f, dp_front(heavy, t))
+
+
+def test_dp_fronts_sub_batches_a_valid_instance():
+    """Items of weight 1e17, 1e17 and 2e17 at capacity 3e17 pass
+    ``validate``, and 50 tours overflow one batch's key; the sub-batches
+    give each tour ``dp_front``'s points, and ``run_ibea`` at mu = 50
+    completes."""
+    inst = make_instance("heavy4", [(0, 0), (0, 3), (4, 3), (4, 0)],
+                         [Item(20, 10**17, 2), Item(30, 10**17, 3), Item(25, 2 * 10**17, 4)],
+                         capacity=3 * 10**17, vmin=0.1, vmax=1.0, rent=1.0)
+    assert validate(inst) == []
+    rng = np.random.default_rng(0)
+    tours_ = [random_tour(rng, 4) for _ in range(50)]
+    assert len(tours_) * (inst.capacity + 1) > 2**63 - 1
+    got = dp_fronts(inst, tours_)
+    assert len(got) == 50
+    for t, f in zip(tours_, got):
+        assert_same_front(f, dp_front(inst, t))
+    res = run_ibea(inst, IbeaConfig(mu=50, generations=2, seed=1, seeding_generations=5))
+    assert len(res.records) == 3 and len(res.final_population) == 50
+    reward, weight = evaluate(inst, res.best_tour, np.isin(np.arange(1, 4), res.best_plan))
+    assert weight <= inst.capacity
+    assert reward == pytest.approx(res.best_reward, rel=REWARD_RTOL)

@@ -17,6 +17,7 @@ from ttpsolve.tours import (
 )
 
 from conftest import random_tour
+from reference_operators import jump_mutate_ref, order_crossover_ref
 
 
 def perm_strategy(min_n=3, max_n=12):
@@ -72,6 +73,8 @@ def test_jump_out_of_range():
     t = make_tour([1, 2, 3, 4])
     with pytest.raises(IndexError):
         jump_mutate(t, 1, 2)
+    with pytest.raises(IndexError):
+        jump_mutate(t, 2, 5)
 
 
 def test_crossover_hand_trace():
@@ -99,6 +102,29 @@ def test_operators_preserve_tour_invariant(t, data):
     assert is_valid_tour(jump_mutate(t, frm, to), n)
     other = data.draw(perm_strategy(n, n))
     assert is_valid_tour(crossover(t, other, np.random.default_rng(0)), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(perm_strategy(3, 60), st.data())
+def test_order_crossover_equals_reference(a, data):
+    """Every window ``2 <= i <= j <= n``, one-city windows included."""
+    b = data.draw(perm_strategy(a.size, a.size))
+    for i in range(2, a.size + 1):
+        for j in range(i, a.size + 1):
+            got = order_crossover(a, b, i, j)
+            assert got.dtype == np.int64
+            assert got.tolist() == order_crossover_ref(a, b, i, j).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(perm_strategy(3, 60))
+def test_jump_equals_reference(t):
+    """Every pair of positions ``frm`` and ``to``, ``frm == to`` included."""
+    for frm in range(2, t.size + 1):
+        for to in range(2, t.size + 1):
+            got = jump_mutate(t, frm, to)
+            assert got.dtype == np.int64
+            assert got.tolist() == jump_mutate_ref(t, frm, to).tolist()
 
 
 @settings(max_examples=40, deadline=None)
