@@ -11,12 +11,16 @@ the scalar merge's ``old_b[i] >= tb[j]`` pick, so both merges equal it
 (``tests/reference_dp_merge.py``).
 
 ``run_inver_over`` runs on Python lists and replays
-``numpy.random.RandomState(seed)`` from raw 32-bit words drawn in bulk,
-applying RandomState's own masked rejection for ``randint`` and its
-two-word formula for ``random_sample`` (the legacy stream is frozen, so the
-replay is exact).  The current city's index ``i`` is carried from step to
-step: a reversal puts the partner city ``c2`` at ``i + 1``, which is where
-the walk goes next.  Other indices come from ``list.index``.
+``numpy.random.RandomState(seed)`` from raw 32-bit words drawn in chunks
+(the legacy stream is frozen, so the replay is exact).  Each chunk comes as
+two tables, the words and a flag per word saying whether the
+``random_sample`` starting there is at most ``p_random``; the loop applies
+RandomState's masked rejection for ``randint`` inline on the words.  The
+partner city of the non-random branch comes from a successor list per tour,
+rebuilt only when a tour is replaced.  The current city's index ``i`` is
+carried from step to step: a reversal puts the partner city ``c2`` at
+``i + 1``, which is where the walk goes next; ``c2``'s index comes from
+``list.index``.
 """
 
 import numpy as np
@@ -125,46 +129,48 @@ class _RandomStateReplay:
     """Replays ``numpy.random.RandomState(seed)`` draws from raw MT19937 words.
 
     Legacy ``RandomState`` promises a frozen stream.  ``randint(r)`` (for
-    ``r - 1 < 2**32``) takes one 32-bit word per try and accepts its low
+    ``2 <= r <= 2**32``) takes one 32-bit word per try and accepts its low
     bits ``w & mask`` once they are at most ``r - 1``, where ``mask`` is the
-    smallest all-ones mask covering ``r - 1``; ``r == 1`` draws no word.
-    ``random_sample()`` takes two words and returns
-    ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``.  ``randint(0, 2**32,
-    dtype=uint32)`` hands out those same words one per value, so drawing
-    them in chunks and replaying both rules on Python ints gives every
-    value, and consumes every word, exactly as the per-call methods would.
-    A chunk's unused words carry over to the next draw.
+    smallest all-ones mask covering ``r - 1``.  ``random_sample()`` takes
+    two words and returns ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``.
+    ``randint(0, 2**32, dtype=uint32)`` hands out those same words one per
+    value, so a caller that applies both rules to words drawn in bulk gets
+    every value, and consumes every word, as the per-call methods would.
+
+    ``refill(k)`` hands out the next table: the unread tail of the last one
+    (from index ``k`` on) followed by a fresh chunk of ``_CHUNK`` words.
+    It gives ``words``, the words as Python ints; ``low``, where ``low[k]``
+    says whether the ``random_sample()`` starting at word ``k`` is at most
+    ``p_random`` (each term of the formula is exact in float64, so numpy
+    computes the value Python would); and ``limit``, the last index at
+    which a reader may still take ``_AHEAD`` words without a new check.
     """
 
     _CHUNK = 4096
+    # the most words run_inver_over reads between two refill checks: a
+    # random_sample and a first draw, then the next tour's first city
+    _AHEAD = 4
 
-    def __init__(self, seed):
-        self._next_word = self._words(np.random.RandomState(seed)).__next__
+    def __init__(self, seed, p_random):
+        self._rs = np.random.RandomState(seed)
+        self._p_random = p_random
+        self._w = np.empty(0, np.uint32)
 
-    @classmethod
-    def _words(cls, rs):
-        while True:
-            yield from rs.randint(0, 2**32, size=cls._CHUNK, dtype=np.uint32).tolist()
+    def refill(self, k):
+        """``(words, low, limit)`` of the words from index ``k`` on plus a chunk."""
+        w = np.concatenate((self._w[k:],
+                            self._rs.randint(0, 2**32, size=self._CHUNK, dtype=np.uint32)))
+        self._w = w
+        sample = ((w[:-1] >> 5) * 67108864.0 + (w[1:] >> 6)) / 9007199254740992.0
+        return w.tolist(), (sample <= self._p_random).tolist(), w.size - self._AHEAD
 
-    def randint_of(self, r):
-        """A function that replays ``RandomState.randint(r)`` on each call."""
-        if r == 1:
-            return lambda: 0
-        next_word = self._next_word
-        top = r - 1
-        mask = (1 << top.bit_length()) - 1
 
-        def randint():
-            v = next_word() & mask
-            while v > top:
-                v = next_word() & mask
-            return v
-        return randint
-
-    def random_sample(self):
-        """Replays ``RandomState.random_sample()``."""
-        next_word = self._next_word
-        return ((next_word() >> 5) * 67108864.0 + (next_word() >> 6)) / 9007199254740992.0
+def _successors(tour):
+    """``succ[c]``, the city after ``c`` in the cyclic ``tour``."""
+    succ = [0] * len(tour)
+    for c, nxt in zip(tour, tour[1:] + tour[:1]):
+        succ[c] = nxt
+    return succ
 
 
 def run_inver_over(pop, dist, generations, p_random, seed):
@@ -176,42 +182,67 @@ def run_inver_over(pop, dist, generations, p_random, seed):
     result is bit for bit that of the scalar loop drawing from
     ``RandomState(seed)`` one call at a time
     (``tests/reference_inver_over.py``): this loop runs on Python lists and
-    replays those draws from bulk-drawn MT19937 words
-    (``_RandomStateReplay``).
+    reads those draws from ``_RandomStateReplay``'s tables, applying the
+    masked rejection inline.  It checks for a refill before each step and
+    each retried draw; a step reads at most ``_AHEAD`` words past a check.
     """
     ps, n = pop.shape
     if n < 3:
         return
     d = dist.tolist()
     tours = pop.tolist()
-    rng = _RandomStateReplay(seed)
-    random_city = rng.randint_of(n)
-    random_other = rng.randint_of(ps)
-    random_sample = rng.random_sample
+    succ = [_successors(t) for t in tours]
+    rng = _RandomStateReplay(seed, p_random)
+    words, low, limit = rng.refill(0)
+    k = 0
+    top_city, top_other = n - 1, ps - 1
+    mask_city = (1 << top_city.bit_length()) - 1
+    mask_other = (1 << top_other.bit_length()) - 1
     for _ in range(generations):
         for s in range(ps):
             cur = tours[s][:]
             delta = 0
-            i = random_city()
+            moved = False
+            i = words[k] & mask_city
+            k += 1
+            while i > top_city:
+                if k > limit:
+                    words, low, limit = rng.refill(k)
+                    k = 0
+                i = words[k] & mask_city
+                k += 1
             c = cur[i]
             while True:
-                if random_sample() <= p_random:
-                    j = random_city()
-                    while cur[j] == c:
-                        j = random_city()
+                if k > limit:
+                    words, low, limit = rng.refill(k)
+                    k = 0
+                # words k, k + 1 are the random_sample(), k + 2 the first draw
+                if low[k]:
+                    j = words[k + 2] & mask_city
+                    k += 3
+                    while j > top_city or cur[j] == c:
+                        if k > limit:
+                            words, low, limit = rng.refill(k)
+                            k = 0
+                        j = words[k] & mask_city
+                        k += 1
                     c2 = cur[j]
                 else:
-                    other = random_other()
-                    while other == s:
-                        other = random_other()
-                    o = tours[other]
-                    c2 = o[(o.index(c) + 1) % n]
+                    other = words[k + 2] & mask_other
+                    k += 3
+                    while other > top_other or other == s:
+                        if k > limit:
+                            words, low, limit = rng.refill(k)
+                            k = 0
+                        other = words[k] & mask_other
+                        k += 1
+                    c2 = succ[other][c]
                     j = cur.index(c2)
-                succ = cur[(i + 1) % n]
-                if c2 == succ or c2 == cur[i - 1]:
+                nxt = cur[(i + 1) % n]
+                if c2 == nxt or c2 == cur[i - 1]:
                     break
                 nxt2 = cur[(j + 1) % n]
-                delta += d[c][c2] + d[succ][nxt2] - d[c][succ] - d[c2][nxt2]
+                delta += d[c][c2] + d[nxt][nxt2] - d[c][nxt] - d[c2][nxt2]
                 # reverse the cyclic segment succ(c) .. c2 in place; c2
                 # lands next to c, at i + 1
                 a = (i + 1) % n
@@ -224,7 +255,8 @@ def run_inver_over(pop, dist, generations, p_random, seed):
                     cur[:j + 1] = seg[n - a:]
                 i = a
                 c = c2
-            if delta <= 0:
+                moved = True
+            if delta <= 0 and moved:
                 tours[s] = cur
+                succ[s] = _successors(cur)
     pop[:] = tours
-

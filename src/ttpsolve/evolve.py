@@ -220,8 +220,8 @@ def parent_select(pop, scheme, lam, rng, tournament_size=2):
         for _ in range(lam):
             contenders = rng.integers(0, mu, size=tournament_size)
             cv = values[contenders]
-            best = contenders[np.flatnonzero(cv == cv.max())]
-            out.append(pop[int(rng.choice(best))])
+            best = contenders[(cv == cv.max()).nonzero()[0]]
+            out.append(pop[int(best[rng.integers(0, best.size)])])
         return out
     ranked = rank_order(pop)
     probs = selection_probabilities(scheme, mu)

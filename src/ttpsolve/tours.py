@@ -149,8 +149,6 @@ def inver_over(inst: Instance, pop_size: int, generations: int,
     dist = _ceil2d(inst.coords[:, None], inst.coords[None])
     seed = int(rng.integers(0, 2**31 - 1))
     _kernels.run_inver_over(pop, dist, generations, p_random, seed)
-    tours = []
-    for s in range(pop_size):
-        rot = np.roll(pop[s], -int(np.where(pop[s] == 0)[0][0]))
-        tours.append(rot + 1)
-    return tours
+    # rotate each tour to start at city 1
+    at = (pop == 0).argmax(1)[:, None] + np.arange(n)
+    return list(np.take_along_axis(pop, at % n, axis=1) + 1)

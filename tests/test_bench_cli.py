@@ -450,90 +450,104 @@ def _write_cli_inputs(tmp_path):
         (tmp_path / name / "rep_000.jsonl").write_text(json.dumps(record) + "\n" + line + "\n")
 
 
+def _bad_input(number, argv, needle):
+    """One case of ``test_cli_bad_input_one_error_line``.  Its id carries
+    the case's own fixed ``number``, not its place in the list, so adding a
+    case renames no other; a new case takes the next unused number."""
+    return pytest.param(argv, needle, id=f"argv{number}-{needle}")
+
+
 @pytest.mark.parametrize("argv, needle", [
-    (["plotdata", "--mode", "convergence"], "needs --records"),
-    (["plotdata", "--mode", "boxplot"], "needs --records"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps"], "no rep_*.jsonl"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/empty_run"], "no repetitions"),
-    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours", "{tmp}/int_tour.json"],
-     "a tour must be a list of city numbers, not 1"),
-    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours", "{tmp}/not_list.json"],
-     "expected a JSON list of tours"),
-    (["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--generations", "-1"],
-     "generations must be >= 0"),
-    (["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--p-random", "2"],
-     "p_random must lie in [0, 1]"),
-    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
-      "{tmp}/float_city.json"], "city numbers must be integers, not 2.7"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps", "{tmp}/empty_run"],
-     "takes one --records dir, got 2"),
-    (["summarize", "--records", "{tmp}/no_reps", "--baseline", "L"], "no rep_*.jsonl"),
-    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
-      "{tmp}/empty_tour.json"], "tour must start at city 1"),
-    (["summarize", "--records", "{tmp}/list_summary", "--baseline", "L"],
-     "list_summary/summary.json: expected a JSON object"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/list_summary"],
-     "list_summary/summary.json: expected a JSON object"),
-    (["summarize", "--records", "{tmp}/no_label", "--baseline", "L"],
-     "no_label/summary.json: 'label' is missing"),
-    (["summarize", "--records", "{tmp}/no_instance", "--baseline", "L"],
-     "no_instance/summary.json: 'instance' is missing"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/no_repetitions"],
-     "no_repetitions/summary.json: 'repetitions' is missing"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/rep_without_reward"],
-     "rep_without_reward/summary.json: repetition 1 has no 'best_reward'"),
-    (["summarize", "--records", "{tmp}/bad_json", "--baseline", "L"],
-     "bad_json/summary.json, line 1: invalid JSON (Expecting property name"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/bad_json"],
-     "bad_json/summary.json, line 1: invalid JSON"),
-    (["summarize", "--records", "{tmp}/bad_jsonl", "--baseline", "L"],
-     "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/bad_jsonl"],
-     "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
-    (["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
-      "{tmp}/bad_tours.json"], "bad_tours.json, line 2: invalid JSON"),
-    (["summarize", "--records", "{tmp}/list_record", "--baseline", "L"],
-     "list_record/rep_000.jsonl, line 2: expected a JSON object"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/list_record"],
-     "list_record/rep_000.jsonl, line 2: expected a JSON object"),
-    (["summarize", "--records", "{tmp}/no_hv", "--baseline", "L"],
-     "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/no_hv"],
-     "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
-    (["plotdata", "--mode", "convergence", "--records", "{tmp}/text_generation"],
-     "text_generation/rep_000.jsonl, line 2: 'generation' is missing or not a number"),
-    (["summarize", "--records", "{tmp}/bool_reward", "--baseline", "L"],
-     "bool_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number"),
-    (["dpfront", "--instance", "{tmp}/huge_capacity.ttp", "--tour", "1,2,3,4"],
-     "CAPACITY OF KNAPSACK 999"),
-    (["seed-tours", "--instance", "{tmp}/no_cities.ttp", "--pop", "4"], "DIMENSION 0 is below 1"),
-    (["run", "--instance", "{tmp}/no_cities.ttp", "--out", "{tmp}/o"], "DIMENSION 0 is below 1"),
-    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
-      "--tournament-size", "0"], "tournament_size must be >= 1"),
-    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
-      "--tournament-size", "-1"], "tournament_size must be >= 1"),
-    (["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--generations", "-1"],
-     "generations must be >= 0"),
-    (["summarize", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50", "--baseline",
-      "fps-lhv"], "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50"],
-     "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/null_reward"],
-     "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/bool_rep_reward"],
-     "bool_rep_reward/summary.json: repetition 1: 'best_reward' True is not a finite number"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/text_reward"],
-     "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/inf_reward"],
-     "inf_reward/summary.json: repetition 1: 'best_reward' inf is not a finite number"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/nan_reward"],
-     "nan_reward/summary.json: repetition 0: 'best_reward' nan is not a finite number"),
-    (["plotdata", "--mode", "boxplot", "--records", "{tmp}/huge_reward"],
-     "huge_reward/summary.json: repetition 0: 'best_reward' 1000"),
-    (["summarize", "--records", "{tmp}/null_reward", "--baseline", "L"],
-     "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
-    (["summarize", "--records", "{tmp}/text_reward", "--baseline", "L"],
-     "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
+    _bad_input(0, ["plotdata", "--mode", "convergence"], "needs --records"),
+    _bad_input(1, ["plotdata", "--mode", "boxplot"], "needs --records"),
+    _bad_input(2, ["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps"],
+               "no rep_*.jsonl"),
+    _bad_input(3, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/empty_run"],
+               "no repetitions"),
+    _bad_input(4, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+                   "{tmp}/int_tour.json"], "a tour must be a list of city numbers, not 1"),
+    _bad_input(5, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+                   "{tmp}/not_list.json"], "expected a JSON list of tours"),
+    _bad_input(6, ["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--generations", "-1"],
+               "generations must be >= 0"),
+    _bad_input(7, ["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--p-random", "2"],
+               "p_random must lie in [0, 1]"),
+    _bad_input(8, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+                   "{tmp}/float_city.json"], "city numbers must be integers, not 2.7"),
+    _bad_input(9, ["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps",
+                   "{tmp}/empty_run"], "takes one --records dir, got 2"),
+    _bad_input(10, ["summarize", "--records", "{tmp}/no_reps", "--baseline", "L"],
+               "no rep_*.jsonl"),
+    _bad_input(11, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+                    "{tmp}/empty_tour.json"], "tour must start at city 1"),
+    _bad_input(12, ["summarize", "--records", "{tmp}/list_summary", "--baseline", "L"],
+               "list_summary/summary.json: expected a JSON object"),
+    _bad_input(13, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/list_summary"],
+               "list_summary/summary.json: expected a JSON object"),
+    _bad_input(14, ["summarize", "--records", "{tmp}/no_label", "--baseline", "L"],
+               "no_label/summary.json: 'label' is missing"),
+    _bad_input(15, ["summarize", "--records", "{tmp}/no_instance", "--baseline", "L"],
+               "no_instance/summary.json: 'instance' is missing"),
+    _bad_input(16, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/no_repetitions"],
+               "no_repetitions/summary.json: 'repetitions' is missing"),
+    _bad_input(17, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/rep_without_reward"],
+               "rep_without_reward/summary.json: repetition 1 has no 'best_reward'"),
+    _bad_input(18, ["summarize", "--records", "{tmp}/bad_json", "--baseline", "L"],
+               "bad_json/summary.json, line 1: invalid JSON (Expecting property name"),
+    _bad_input(19, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/bad_json"],
+               "bad_json/summary.json, line 1: invalid JSON"),
+    _bad_input(20, ["summarize", "--records", "{tmp}/bad_jsonl", "--baseline", "L"],
+               "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
+    _bad_input(21, ["plotdata", "--mode", "convergence", "--records", "{tmp}/bad_jsonl"],
+               "bad_jsonl/rep_000.jsonl, line 3: invalid JSON"),
+    _bad_input(22, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
+                    "{tmp}/bad_tours.json"], "bad_tours.json, line 2: invalid JSON"),
+    _bad_input(23, ["summarize", "--records", "{tmp}/list_record", "--baseline", "L"],
+               "list_record/rep_000.jsonl, line 2: expected a JSON object"),
+    _bad_input(24, ["plotdata", "--mode", "convergence", "--records", "{tmp}/list_record"],
+               "list_record/rep_000.jsonl, line 2: expected a JSON object"),
+    _bad_input(25, ["summarize", "--records", "{tmp}/no_hv", "--baseline", "L"],
+               "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
+    _bad_input(26, ["plotdata", "--mode", "convergence", "--records", "{tmp}/no_hv"],
+               "no_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number"),
+    _bad_input(27, ["plotdata", "--mode", "convergence", "--records", "{tmp}/text_generation"],
+               "text_generation/rep_000.jsonl, line 2: 'generation' is missing or not a number"),
+    _bad_input(28, ["summarize", "--records", "{tmp}/bool_reward", "--baseline", "L"],
+               "bool_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number"),
+    _bad_input(29, ["dpfront", "--instance", "{tmp}/huge_capacity.ttp", "--tour", "1,2,3,4"],
+               "CAPACITY OF KNAPSACK 999"),
+    _bad_input(30, ["seed-tours", "--instance", "{tmp}/no_cities.ttp", "--pop", "4"],
+               "DIMENSION 0 is below 1"),
+    _bad_input(31, ["run", "--instance", "{tmp}/no_cities.ttp", "--out", "{tmp}/o"],
+               "DIMENSION 0 is below 1"),
+    _bad_input(32, ["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
+                    "--tournament-size", "0"], "tournament_size must be >= 1"),
+    _bad_input(33, ["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--selection", "ts",
+                    "--tournament-size", "-1"], "tournament_size must be >= 1"),
+    _bad_input(34, ["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--generations", "-1"],
+               "generations must be >= 0"),
+    _bad_input(35, ["summarize", "--records", "{tmp}/fps_seed_1", "{tmp}/fps_seed_50", "--baseline",
+                    "fps-lhv"], "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
+    _bad_input(36, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/fps_seed_1",
+                    "{tmp}/fps_seed_50"],
+               "label 'fps-lhv' repeats: {tmp}/fps_seed_1 and {tmp}/fps_seed_50"),
+    _bad_input(37, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/null_reward"],
+               "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
+    _bad_input(38, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/bool_rep_reward"],
+               "bool_rep_reward/summary.json: repetition 1: "
+               "'best_reward' True is not a finite number"),
+    _bad_input(39, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/text_reward"],
+               "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
+    _bad_input(40, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/inf_reward"],
+               "inf_reward/summary.json: repetition 1: 'best_reward' inf is not a finite number"),
+    _bad_input(41, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/nan_reward"],
+               "nan_reward/summary.json: repetition 0: 'best_reward' nan is not a finite number"),
+    _bad_input(42, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/huge_reward"],
+               "huge_reward/summary.json: repetition 0: 'best_reward' 1000"),
+    _bad_input(43, ["summarize", "--records", "{tmp}/null_reward", "--baseline", "L"],
+               "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
+    _bad_input(44, ["summarize", "--records", "{tmp}/text_reward", "--baseline", "L"],
+               "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ def test_cheap_draws_equal_the_numpy_calls():
             mine.random(), theirs.random()
             assert tours.random_positions(mine, n) == \
                 tuple(theirs.integers(2, n + 1, size=2).tolist())
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def _ts_select_with_choice(pop, lam, rng, tournament_size):
+    """``parent_select``'s ``ts`` branch as it was when it drew each winner
+    with ``rng.choice(best)``."""
+    out = []
+    values = np.array([ind.value for ind in pop])
+    for _ in range(lam):
+        contenders = rng.integers(0, len(pop), size=tournament_size)
+        cv = values[contenders]
+        best = contenders[np.flatnonzero(cv == cv.max())]
+        out.append(pop[int(rng.choice(best))])
+    return out
+
+
+def test_tournament_select_keeps_its_draws():
+    """Values from a set of three give tied tournaments of every size."""
+    for seed in range(6):
+        values = np.random.default_rng(100 + seed).integers(0, 3, size=2 + 7 * seed) / 2
+        pop = [SimpleNamespace(value=float(v)) for v in values]
+        for size in (1, 2, 3, 4):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = parent_select(pop, "ts", 25, mine, tournament_size=size)
+            want = _ts_select_with_choice(pop, 25, theirs, size)
+            assert [id(ind) for ind in got] == [id(ind) for ind in want]
             assert mine.bit_generator.state == theirs.bit_generator.state
 
 

@@ -68,35 +68,110 @@ def test_inver_over_matches_reference_on_instances(name):
     assert_bit_identical(run_both(pop, dist, 20, 0.02, 11))
 
 
-SPECIAL_RANGES = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 75, 76,
+def test_inver_over_matches_reference_across_chunks(monkeypatch):
+    """With ``p_random = 1`` every step takes a random partner city, whose
+    draw is rejected about 40% of the time on eil76 (76 of 128 masked
+    values are cities), so a call reads several chunks and some refills
+    land inside a rejection retry."""
+    refill = _kernels._RandomStateReplay.refill
+    refills = []
+
+    def counting_refill(self, k):
+        refills.append(k)
+        return refill(self, k)
+
+    monkeypatch.setattr(_kernels._RandomStateReplay, "refill", counting_refill)
+    inst = parse_instance((INSTANCES / "eil76_n75_uncorr.ttp").read_text())
+    rng = np.random.default_rng(5)
+    pop = np.array([np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
+                    for _ in range(50)], np.int64)
+    dist = _ceil2d(inst.coords[:, None], inst.coords[None])
+    assert_bit_identical(run_both(pop, dist, 5, 1.0, 7))
+    assert len(refills) >= 5
+
+
+class TableWalk:
+    """Reads ``_RandomStateReplay``'s tables by ``run_inver_over``'s rules:
+    ``randint(r)`` is the masked rejection on ``words``, and a
+    ``random_sample()`` is the two words at ``k`` with its flag ``low[k]``.
+    Each read is preceded by the kernel's refill check."""
+
+    def __init__(self, seed, p_random):
+        self.replay = _kernels._RandomStateReplay(seed, p_random)
+        self.words, self.low, self.limit = self.replay.refill(0)
+        self.k = 0
+        self.refills = 0
+
+    def check(self):
+        if self.k > self.limit:
+            self.words, self.low, self.limit = self.replay.refill(self.k)
+            self.k = 0
+            self.refills += 1
+
+    def randint(self, r):
+        top = r - 1
+        mask = (1 << top.bit_length()) - 1
+        self.check()
+        v = self.words[self.k] & mask
+        self.k += 1
+        while v > top:
+            self.check()
+            v = self.words[self.k] & mask
+            self.k += 1
+        return v
+
+    def random_sample(self):
+        """The value and its ``low`` flag."""
+        self.check()
+        k = self.k
+        self.k += 2
+        w1, w2 = self.words[k], self.words[k + 1]
+        return ((w1 >> 5) * 67108864.0 + (w2 >> 6)) / 9007199254740992.0, self.low[k]
+
+
+def assert_walk_matches(seed, p_random, calls):
+    """``None`` stands for ``random_sample()``, an int r for ``randint(r)``."""
+    rs = np.random.RandomState(seed)
+    walk = TableWalk(seed, p_random)
+    for r in calls:
+        if r is None:
+            value, low = walk.random_sample()
+            assert value == rs.random_sample()
+            assert low == (value <= p_random)
+        else:
+            assert walk.randint(r) == rs.randint(r)
+    return walk
+
+
+SPECIAL_RANGES = [2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 75, 76,
                   2**16, 2**31 - 1, 2**31, 2**31 + 1, 2**32]
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
+       p_random=st.sampled_from([0.0, 0.02, 1.0, None]),
        calls=st.lists(st.one_of(st.none(), st.sampled_from(SPECIAL_RANGES),
-                                st.integers(1, 2**32)), max_size=200))
-def test_replay_matches_random_state(seed, calls):
-    """``None`` stands for ``random_sample()``, an int r for ``randint(r)``."""
-    rs = np.random.RandomState(seed)
-    replay = _kernels._RandomStateReplay(seed)
-    for r in calls:
-        if r is None:
-            assert replay.random_sample() == rs.random_sample()
-        else:
-            assert replay.randint_of(r)() == rs.randint(r)
+                                st.integers(2, 2**32)), max_size=200))
+def test_replay_matches_random_state(seed, p_random, calls):
+    """``p_random = None`` stands for the walk's first ``random_sample()``
+    value, so that draw sits exactly on the threshold and must read low."""
+    if p_random is None:
+        p_random = np.random.RandomState(seed).random_sample()
+    assert_walk_matches(seed, p_random, [None] + calls)
 
 
 def test_replay_carries_words_across_chunks():
     """Several chunks of words, with odd word counts between the two-word
-    ``random_sample`` draws, so some straddle a chunk boundary."""
+    ``random_sample`` draws, so refills carry tails of different lengths;
+    one threshold is a sample drawn after the second refill."""
+    pattern = (2, 3, 33, 2**31 + 1, None)
+    calls = [pattern[step % 5] for step in range(4 * _kernels._RandomStateReplay._CHUNK)]
     rs = np.random.RandomState(5)
-    replay = _kernels._RandomStateReplay(5)
-    draws = {r: replay.randint_of(r) for r in (1, 2, 3, 33, 2**31 + 1)}
-    for step in range(3 * _kernels._RandomStateReplay._CHUNK):
-        r = (1, 2, 3, 33, 2**31 + 1, None)[step % 6]
+    samples = []
+    for r in calls:
         if r is None:
-            assert replay.random_sample() == rs.random_sample()
+            samples.append(rs.random_sample())
         else:
-            assert draws[r]() == rs.randint(r)
-    assert replay.random_sample() == rs.random_sample()
+            rs.randint(r)
+    for p_random in (0.0, 0.02, 1.0, samples[2 * len(samples) // 3]):
+        assert assert_walk_matches(5, p_random, calls).refills >= 3
