@@ -7,14 +7,14 @@ benchmark CLI for desk-scale experiment protocols.
 
 from .instance_io import Instance, Item, parse_instance, serialize_instance, distance, validate
 from .tours import make_tour, tour_length, inver_over, two_opt_mutate, jump_mutate, crossover
-from .pwt_dp import DpFront, dp_front, brute_force_front, evaluate
+from .pwt_dp import DpFront, dp_front, evaluate
 from .fronts import Surface, surface
 from .evolve import IbeaConfig, run_ibea
 
 __all__ = [
     "Instance", "Item", "parse_instance", "serialize_instance", "distance", "validate",
     "make_tour", "tour_length", "inver_over", "two_opt_mutate", "jump_mutate", "crossover",
-    "DpFront", "dp_front", "brute_force_front", "evaluate",
+    "DpFront", "dp_front", "evaluate",
     "Surface", "surface",
     "IbeaConfig", "run_ibea",
 ]

@@ -3,11 +3,14 @@
 Each kernel has one source, in numpy and plain Python, so a run depends
 only on its seed.  ``dp_merge`` updates one DP column with back-links;
 ``dp_merge_segments`` updates many columns of a batch at once, points only.
-Both order cells by one rule, ``_merge_order``: a stable sort by weight
-(within a segment) merges the keep run and the take run, each already
-strictly increasing in weight, keep cell first at an equal weight; a take
-cell then swaps ahead only where its reward is strictly greater.  That is
-the scalar merge's ``old_b[i] >= tb[j]`` pick, so both merges equal it
+Both prune by one rule, ``_survivors``: a stable sort by weight (within a
+segment) merges the keep run and the take run, each already strictly
+increasing in weight, keep cell first at an equal weight; a cell survives
+if its reward beats every reward before it, and where both cells of an
+equal-weight pair survive, the keep cell is dropped.  The running max after
+a pair does not depend on the pair's order, and a take survives exactly
+when it would ahead of its keep, so this keeps the cells of the scalar
+merge's ``old_b[i] >= tb[j]`` pick, and both merges equal it
 (``tests/reference_dp_merge.py``).
 
 ``run_inver_over`` runs on Python lists and replays
@@ -33,23 +36,38 @@ NUMBA_ENABLED = False
 # DP column merge
 # ---------------------------------------------------------------------------
 
-def _merge_order(key, b_all):
-    """Merge order of keep cells followed by take cells, by ``key`` ascending.
+def _survivors(key, b_all, seg=None):
+    """Indices of the cells that survive the merge, in merge order.
 
-    Both halves of ``key`` must be strictly increasing, so a key is shared
-    by at most one keep/take pair.  The stable sort merges the two runs and
-    puts the keep cell first at an equal key; a take cell then swaps ahead
-    only if its reward is strictly greater.  Returns ``order`` and
-    ``b_all[order]``.
+    ``b_all`` holds the keep cells followed by the take cells and ``key``
+    their sort keys; both halves of ``key`` must be strictly increasing, so
+    a key is shared by at most one keep/take pair.  The stable sort merges
+    the two runs, keep cell first at an equal key, and a cell survives if
+    its reward beats every reward before it (within its segment, where
+    ``seg`` gives the cells' segment ids).  Where both cells of an
+    equal-key pair survive, the take beat its keep and the keep is dropped.
     """
     order = key.argsort(kind="stable")
-    k_sorted = key[order]
     b_sorted = b_all[order]
-    swap = ((k_sorted[1:] == k_sorted[:-1]) & (b_sorted[1:] > b_sorted[:-1])).nonzero()[0]
-    if swap.size:
-        order[swap], order[swap + 1] = order[swap + 1], order[swap]
-        b_sorted[swap], b_sorted[swap + 1] = b_sorted[swap + 1], b_sorted[swap]
-    return order, b_sorted
+    if seg is None:
+        v = b_sorted
+    else:
+        # numpy orders complex numbers lexicographically, so a (segment,
+        # reward) pair beats the running max before it at its segment's
+        # first cell or where its reward beats every earlier one there
+        v = np.empty(b_sorted.size, np.complex128)
+        v.real = seg[order]
+        v.imag = b_sorted
+    keep = np.empty(v.size, bool)
+    keep[:1] = True
+    # on rewards without NaN, fmax is maximum, and its accumulate is faster
+    np.greater(v[1:], np.fmax.accumulate(v)[:-1], out=keep[1:])
+    sel = order[keep.nonzero()[0]]
+    k_sel = key[sel]
+    last = np.empty(sel.size, bool)
+    last[-1:] = True
+    np.not_equal(k_sel[1:], k_sel[:-1], out=last[:-1])
+    return sel[last]
 
 
 def dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
@@ -60,9 +78,9 @@ def dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
     the rent-weighted distance remaining after the item's node.  Returns the
     pruned successor column plus back-links for plan reconstruction:
     ``(w, b, took, prev)`` where ``prev`` indexes the predecessor column.
-    Cells are ordered by weight, then best reward first, the keep cell first
-    on a full tie (``_merge_order``); a cell survives if it beats every cell
-    before it.
+    Cells are ordered by weight, keep cell first at an equal weight; a cell
+    survives if it beats every cell before it, and of an equal-weight pair
+    the keep is dropped where the take survives (``_survivors``).
     """
     k = int(np.searchsorted(old_w, cap - item_w, side="right"))
     tw = old_w[:k] + item_w
@@ -70,14 +88,10 @@ def dp_merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap):
 
     n_old = old_w.size
     w_all = np.concatenate((old_w, tw))
-    order, b_sorted = _merge_order(w_all, np.concatenate((old_b, tb)))
-    runmax = np.maximum.accumulate(b_sorted)
-    keep = np.empty(b_sorted.size, bool)
-    keep[0] = True
-    keep[1:] = b_sorted[1:] > runmax[:-1]
-    sel = order[keep]
+    b_all = np.concatenate((old_b, tb))
+    sel = _survivors(w_all, b_all)
     took = sel >= n_old
-    return w_all[sel], b_sorted[keep], took.astype(np.uint8), sel - n_old * took
+    return w_all[sel], b_all[sel], took.astype(np.uint8), sel - n_old * took
 
 
 def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
@@ -102,23 +116,12 @@ def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
         1.0 / (vmax - nu * tw) - 1.0 / (vmax - nu * old_w[fit]))
 
     w_all = np.concatenate((old_w, tw))
+    b_all = np.concatenate((old_b, tb))
     s_all = np.concatenate((seg, t_seg))
-
-    # per segment: the order of dp_merge.  Weights never exceed cap, so
-    # the key keeps segments apart, and within a segment both sides have
-    # strictly increasing weights, as _merge_order needs.
-    order, b_sorted = _merge_order(s_all * (cap + 1) + w_all, np.concatenate((old_b, tb)))
-    s_sorted = s_all[order]
-    # numpy orders complex numbers lexicographically, so a (segment, reward)
-    # pair beats the running max before it at its segment's first cell or
-    # where its reward beats every earlier one in its segment
-    pair = np.empty(b_sorted.size, np.complex128)
-    pair.real = s_sorted
-    pair.imag = b_sorted
-    keep = np.empty(pair.size, bool)
-    keep[:1] = True
-    np.greater(pair[1:], np.maximum.accumulate(pair)[:-1], out=keep[1:])
-    return w_all[order[keep]], b_sorted[keep], s_sorted[keep]
+    # weights never exceed cap, so the key keeps segments apart, and within
+    # a segment both halves have strictly increasing weights
+    sel = _survivors(s_all * (cap + 1) + w_all, b_all, s_all)
+    return w_all[sel], b_all[sel], s_all[sel]
 
 
 # ---------------------------------------------------------------------------

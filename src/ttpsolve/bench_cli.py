@@ -11,6 +11,7 @@ workers for ``run``, at most one per repetition.
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -126,15 +127,36 @@ def read_records(path):
 
 
 def _rep_files(run_dir):
-    """The ``rep_*.jsonl`` record files of one run dir, in repetition order."""
-    found = sorted(Path(run_dir).glob("rep_*.jsonl"))
-    if not found:
-        raise ValueError(f"{run_dir}: no rep_*.jsonl record files")
-    return found
+    """The record files of one run dir, in repetition order.
+
+    With a ``summary.json``, these are ``rep_000.jsonl``, ``rep_001.jsonl``,
+    ... for exactly the repetitions it lists; a missing one raises a
+    ValueError, and any further ``rep_*.jsonl`` (left by an earlier run
+    with more repetitions) is not read.  Without one, as ``write_records``
+    alone leaves a dir, they are the files from ``rep_000.jsonl`` on, up to
+    the first missing index.
+    """
+    run_dir = Path(run_dir)
+    if not (run_dir / "summary.json").exists():
+        found = list(itertools.takewhile(
+            Path.is_file, (run_dir / f"rep_{i:03d}.jsonl" for i in itertools.count())))
+        if not found:
+            raise ValueError(f"{run_dir}: no rep_000.jsonl record file")
+        return found
+    reps = len(read_summary(run_dir)["repetitions"])
+    if not reps:
+        raise ValueError(f"{run_dir}: summary.json lists no repetitions")
+    paths = [run_dir / f"rep_{i:03d}.jsonl" for i in range(reps)]
+    for path in paths:
+        if not path.is_file():
+            raise ValueError(f"{run_dir}: {path.name} is missing "
+                             f"(summary.json lists {reps} repetition(s))")
+    return paths
 
 
 def final_metrics(run_dir):
-    """Per-repetition final (population_hv, best_reward) of one run dir."""
+    """Per-repetition final (population_hv, best_reward) of one run dir,
+    one entry per record file of :func:`_rep_files`."""
     out = []
     for rep in _rep_files(run_dir):
         records = read_records(rep)

@@ -272,9 +272,10 @@ class _Archive:
 
     def add(self, batch):
         """Merge a batch of fronts with one ``staircase``; it keeps the
-        earliest of exact ties, so this equals adding them one at a time."""
+        earliest of exact ties, so this equals adding them one at a time.
+        Each front is a strict staircase, so its last reward is its best."""
         for front in batch:
-            top = float(front.rewards.max())
+            top = float(front.rewards[-1])
             if top > self.best_reward:
                 self.best_reward = top
                 self.best_tour = front.tour.copy()

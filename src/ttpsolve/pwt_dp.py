@@ -8,9 +8,6 @@ immediately.  Columns are sparse (only surviving cells are stored).
 ``dp_front`` retains only the final column and every column's (took, prev)
 back-links, and rebuilds packing plans by back-walking them; the batched
 ``dp_fronts`` keeps no links and yields points only.
-
-``brute_force_front`` enumerates all packings and is the independent oracle
-for the DP.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +21,6 @@ from .tours import _legs
 
 REWARD_RTOL = 1e-9       # oracle-equivalence tolerance on rewards
 REWARD_EQ_ATOL = 1e-6    # cross-front point-equality tolerance
-BRUTE_FORCE_MAX_ITEMS = 24
 
 
 @dataclass(frozen=True)
@@ -220,37 +216,6 @@ def dp_fronts(inst: Instance, tours) -> list:
     return [DpFront(tour=t.copy(), rewards=b[lo:hi].copy(), weights=w[lo:hi].copy(),
                     plans_packed=None, m=inst.m, capacity=inst.capacity)
             for t, lo, hi in zip(tours, [0] + ends[:-1], ends)]
-
-
-def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
-    """Enumerate all packings, Pareto-filter the feasible ones.
-
-    Independent of the DP path on purpose; rewards come from a vectorised
-    direct evaluation of every packing.
-    """
-    if inst.m > BRUTE_FORCE_MAX_ITEMS:
-        raise ValueError(f"brute force refuses m > {BRUTE_FORCE_MAX_ITEMS}")
-    m = inst.m
-    n_pack = 1 << m
-    packs = ((np.arange(n_pack)[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
-    weights = packs @ inst.item_weight if m else np.zeros(1, np.int64)
-    feasible = weights <= inst.capacity
-    packs, weights = packs[feasible], weights[feasible]
-
-    pos_of_city = np.empty(inst.n + 1, np.int64)
-    pos_of_city[t] = np.arange(inst.n)
-    item_pos = pos_of_city[inst.item_node] if m else np.zeros(0, np.int64)
-    legs = _legs(inst, t)
-    # collected[i, pos] = weight on board when leaving tour position pos
-    onboard = (packs[:, None, :] * (item_pos[None, None, :] <= np.arange(inst.n)[None, :, None])) \
-        @ inst.item_weight if m else np.zeros((packs.shape[0], inst.n), np.int64)
-    times = (legs[None, :] / (inst.vmax - inst.nu * onboard)).sum(axis=1)
-    rewards = (packs @ inst.item_profit if m else np.zeros(1)) - inst.rent * times
-
-    # on ties the earliest-enumerated packing wins
-    keep = staircase(rewards, weights)
-    return DpFront(tour=t.copy(), rewards=rewards[keep], weights=weights[keep],
-                   plans_packed=_pack_plans(packs[keep]), m=m, capacity=inst.capacity)
 
 
 def merge_fronts(a: DpFront, b: DpFront) -> DpFront:

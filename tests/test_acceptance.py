@@ -13,11 +13,12 @@ from ttpsolve.bench_cli import log_p_measure, welch_t_test
 from ttpsolve.evolve import IbeaConfig, run_ibea
 from ttpsolve.fronts import LHV, LSC, _hv, all_indicators, surface
 from ttpsolve.instance_io import parse_instance
-from ttpsolve.pwt_dp import brute_force_front, dp_front
+from ttpsolve.pwt_dp import dp_front
 from ttpsolve.tours import inver_over, make_tour, tour_length
 from ttpsolve.evolve import selection_probabilities, parent_select, Individual
 
 from conftest import INSTANCES, random_instance, random_tour
+from reference_brute_force import brute_force_front
 
 TINY4_OPT = 19.348214285714285
 

@@ -6,7 +6,7 @@ import ttpsolve
 PUBLIC = [
     "Instance", "Item", "parse_instance", "serialize_instance", "distance", "validate",
     "make_tour", "tour_length", "inver_over", "two_opt_mutate", "jump_mutate", "crossover",
-    "DpFront", "dp_front", "brute_force_front", "evaluate",
+    "DpFront", "dp_front", "evaluate",
     "Surface", "surface",
     "IbeaConfig", "run_ibea",
 ]

@@ -209,6 +209,39 @@ def test_cli_summarize_and_plotdata(tiny4_file, tmp_path):
     assert rc == 0 and (plots / "boxplot.csv").exists()
 
 
+def test_stale_repetitions_are_not_read(tiny4_file, tmp_path):
+    out = tmp_path / "out"
+    for selection, reps in (("uar", "4"), ("fps", "2")):
+        assert main(["run", "--instance", str(tiny4_file), "--out", str(out),
+                     "--selection", selection, "--mu", "4", "--generations", "3",
+                     "--seeding-generations", "5", "--reps", reps, "--seed", "3"]) == 0
+    assert (out / "rep_003.jsonl").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert [m["best_reward"] for m in final_metrics(out)] == \
+        [r["best_reward"] for r in summary["repetitions"]]
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--mode", "convergence", "--records", str(out),
+                 "--out", str(plots)]) == 0
+    with open(plots / "convergence.csv") as fh:
+        assert {row["rep"] for row in csv.DictReader(fh)} == {"0", "1"}
+
+
+def test_repetitions_are_read_in_index_order(tmp_path):
+    # rep_1000.jsonl sorts between rep_100.jsonl and rep_101.jsonl by name
+    reps = 1001
+    for i in range(reps):
+        (tmp_path / f"rep_{i:03d}.jsonl").write_text(json.dumps(
+            {"generation": 0, "population_hv": 0.0, "best_reward": i, "archive_hv": 0.0}) + "\n")
+    # without a summary.json, the files from rep_000.jsonl on are read
+    assert [m["best_reward"] for m in final_metrics(tmp_path)] == list(range(reps))
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {"label": "L", "instance": "tiny4", "repetitions": [{"best_reward": 0.0}] * reps}))
+    assert [m["best_reward"] for m in final_metrics(tmp_path)] == list(range(reps))
+    (tmp_path / "rep_1000.jsonl").unlink()
+    with pytest.raises(ValueError, match="rep_1000.jsonl is missing"):
+        final_metrics(tmp_path)
+
+
 def test_cli_dpfront(tiny4_file, capsys):
     rc = main(["dpfront", "--instance", str(tiny4_file), "--tour", "1,2,3,4"])
     assert rc == 0
@@ -266,7 +299,7 @@ def test_cli_summarize_empty_record_file(tmp_path, capsys):
     run_dir = tmp_path / "empty"
     run_dir.mkdir()
     (run_dir / "summary.json").write_text(
-        json.dumps({"label": "L", "instance": "tiny4", "repetitions": []}))
+        json.dumps({"label": "L", "instance": "tiny4", "repetitions": [{"best_reward": 1.0}]}))
     (run_dir / "rep_000.jsonl").write_text("")
     rc = main(["summarize", "--records", str(run_dir), "--baseline", "L"])
     assert rc == 2
@@ -440,6 +473,12 @@ def _write_cli_inputs(tmp_path):
     (tmp_path / "bad_jsonl" / "rep_000.jsonl").write_text(
         json.dumps(record) + "\n\n" + '{"generation": 1,\n')
     (tmp_path / "bad_tours.json").write_text("[[1, 2,\n 3")
+    # a summary of two repetitions beside the record file of one
+    (tmp_path / "one_of_two").mkdir()
+    (tmp_path / "one_of_two" / "summary.json").write_text(json.dumps(
+        {"label": "L", "instance": "tiny4",
+         "repetitions": [{"best_reward": 1.0}, {"best_reward": 1.0}]}))
+    (tmp_path / "one_of_two" / "rep_000.jsonl").write_text(json.dumps(record) + "\n")
     for name, line in (("list_record", "[1, 2]"),
                        ("no_hv", json.dumps({k: v for k, v in record.items()
                                              if k != "population_hv"})),
@@ -461,7 +500,7 @@ def _bad_input(number, argv, needle):
     _bad_input(0, ["plotdata", "--mode", "convergence"], "needs --records"),
     _bad_input(1, ["plotdata", "--mode", "boxplot"], "needs --records"),
     _bad_input(2, ["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps"],
-               "no rep_*.jsonl"),
+               "rep_000.jsonl is missing"),
     _bad_input(3, ["plotdata", "--mode", "boxplot", "--records", "{tmp}/empty_run"],
                "no repetitions"),
     _bad_input(4, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
@@ -477,7 +516,7 @@ def _bad_input(number, argv, needle):
     _bad_input(9, ["plotdata", "--mode", "convergence", "--records", "{tmp}/no_reps",
                    "{tmp}/empty_run"], "takes one --records dir, got 2"),
     _bad_input(10, ["summarize", "--records", "{tmp}/no_reps", "--baseline", "L"],
-               "no rep_*.jsonl"),
+               "rep_000.jsonl is missing"),
     _bad_input(11, ["plotdata", "--mode", "fronts", "--instance", "{tiny4}", "--tours",
                     "{tmp}/empty_tour.json"], "tour must start at city 1"),
     _bad_input(12, ["summarize", "--records", "{tmp}/list_summary", "--baseline", "L"],
@@ -548,6 +587,14 @@ def _bad_input(number, argv, needle):
                "null_reward/summary.json: repetition 1: 'best_reward' None is not a finite number"),
     _bad_input(44, ["summarize", "--records", "{tmp}/text_reward", "--baseline", "L"],
                "text_reward/summary.json: repetition 0: 'best_reward' 'x' is not a finite number"),
+    _bad_input(45, ["summarize", "--records", "{tmp}/one_of_two", "--baseline", "L"],
+               "one_of_two: rep_001.jsonl is missing (summary.json lists 2 repetition(s))"),
+    _bad_input(46, ["plotdata", "--mode", "convergence", "--records", "{tmp}/one_of_two"],
+               "one_of_two: rep_001.jsonl is missing (summary.json lists 2 repetition(s))"),
+    _bad_input(47, ["summarize", "--records", "{tmp}/empty_run", "--baseline", "L"],
+               "empty_run: summary.json lists no repetitions"),
+    _bad_input(48, ["plotdata", "--mode", "convergence", "--records", "{tmp}/empty_run"],
+               "empty_run: summary.json lists no repetitions"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

@@ -79,8 +79,28 @@ def wide_merge_inputs(draw):
     return old_w.astype(np.int64), old_b, item_w, item_p, rdist, vmax, (vmax - vmin) / cap, cap
 
 
+def _take_wins_wide(n_old, gains):
+    """A wide column and an item whose take lands on every kept weight.
+
+    Weights step by the item weight, ``rdist == 0`` and the item's profit is
+    5, so the take at weight ``w`` beats the keep cell there when that
+    cell's gain over its predecessor is below 5, ties it at 5 and loses
+    above.
+    """
+    old_w = 2 * np.arange(n_old, dtype=np.int64)
+    old_b = np.cumsum(np.resize(np.array(gains, np.float64), n_old)) - 40.0
+    cap = int(old_w[-1]) + 2
+    return old_w, old_b, 2, 5.0, 0.0, 1.0, 0.9 / cap, cap
+
+
+# equal-weight takes that beat, tie and lose to their keeps, on a column
+# wide enough for numpy's stable sort to merge runs
+WIDE_TAKE_WINS = _take_wins_wide(150, [1, 7, 5])
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_merge_inputs())
+@example(WIDE_TAKE_WINS)
 def test_dp_merge_wide_vectorised_equals_loop(args):
     got = _kernels.dp_merge(*args)
     want = _dp_merge_loop(*args)
@@ -124,9 +144,9 @@ ONE_CELL_BETWEEN_WIDE = _segment_case([([0, 1, 2, 4, 5], [-3, 1, 2, 6, 9], 1, 2)
 # neither column's item fits on any cell, so the batch has no take cells
 NO_TAKE_FITS = _segment_case([([0, 2], [1, 3], 5, 4),
                               ([0, 1, 3], [0, 2, 5], 6, 1)], 4)
-# in the first column the take cell at weight 2 beats the keep cell there
-# and must swap ahead of it; in the second the pair at weight 3 ties on
-# reward, so the keep cell stays first
+# in the first column the take cell at weight 2 beats the keep cell there,
+# which must be dropped; in the second the pair at weight 3 ties on reward,
+# so the take cell is dropped
 TAKE_WINS_EQUAL_WEIGHT = _segment_case([([0, 2], [1, 2], 2, 5),
                                         ([0, 3], [0, 1], 3, 1)], 6)
 
@@ -138,7 +158,37 @@ TAKE_WINS_EQUAL_WEIGHT = _segment_case([([0, 2], [1, 2], 2, 5),
 @example(NO_TAKE_FITS)
 @example(TAKE_WINS_EQUAL_WEIGHT)
 def test_dp_merge_segments_equals_per_column(args):
-    cols, vmax, nu, cap = args
+    _assert_segments_equal_per_column(*args)
+
+
+@st.composite
+def wide_segment_inputs(draw):
+    """``segment_inputs`` over 2 to 4 ``wide_merge_inputs`` columns.
+
+    The shared capacity and ``nu`` come from the column with the largest
+    capacity, so no column is heavier than it and that column keeps its
+    items-at-capacity case.
+    """
+    cols = draw(st.lists(wide_merge_inputs(), min_size=2, max_size=4))
+    lead = max(cols, key=lambda c: c[7])
+    return cols, lead[5], lead[6], lead[7]
+
+
+# three wide columns whose equal-weight takes beat, tie and lose to their
+# keeps, under the capacity and speed law of the first, the widest
+_WIDE_COLUMNS = [_take_wins_wide(n, gains)
+                 for n, gains in ((200, [1, 7, 5]), (70, [3, 9]), (120, [6, 2, 5]))]
+WIDE_SEGMENTS_TAKE_WINS = (_WIDE_COLUMNS, *_WIDE_COLUMNS[0][5:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_segment_inputs())
+@example(WIDE_SEGMENTS_TAKE_WINS)
+def test_dp_merge_segments_wide_equals_per_column(args):
+    _assert_segments_equal_per_column(*args)
+
+
+def _assert_segments_equal_per_column(cols, vmax, nu, cap):
     got_w, got_b, got_s = _kernels.dp_merge_segments(
         np.concatenate([c[0] for c in cols]), np.concatenate([c[1] for c in cols]),
         np.repeat(np.arange(len(cols)), [c[0].size for c in cols]),
@@ -147,7 +197,7 @@ def test_dp_merge_segments_equals_per_column(args):
     assert np.all(np.diff(got_s) >= 0)
     for s, (old_w, old_b, item_w, item_p, rdist, *_) in enumerate(cols):
         mine = got_s == s
-        # the scalar merge too, since dp_merge shares _merge_order
+        # the scalar merge too, since dp_merge shares _survivors
         for merge in (_kernels.dp_merge, _dp_merge_loop):
             want = merge(old_w, old_b, item_w, item_p, rdist, vmax, nu, cap)[:2]
             for g, w in zip((got_w[mine], got_b[mine]), want):

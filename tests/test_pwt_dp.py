@@ -12,12 +12,13 @@ from ttpsolve.instance_io import (
     Item, distance, make_instance, parse_instance, serialize_instance, validate,
 )
 from ttpsolve.pwt_dp import (
-    REWARD_RTOL, _dp_columns, _setup, brute_force_front, dp_front, dp_fronts, evaluate,
+    REWARD_RTOL, _dp_columns, _setup, dp_front, dp_fronts, evaluate,
     merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour, tour_length
 
 from conftest import INSTANCES, random_instance, random_tour
+from reference_brute_force import brute_force_front
 
 MAKE_INSTANCES = INSTANCES.parent / "scripts" / "make_instances.py"
 
