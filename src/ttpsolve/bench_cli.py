@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -102,10 +101,17 @@ def read_json(path):
             raise _invalid_json(f"{path}, line {exc.lineno}", exc) from None
 
 
+def _finite_number(value):
+    """Whether a JSON value is a finite int or float: not NaN, Infinity or a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
 def read_records(path):
     """The records of a JSONL file; a malformed line, or one that is not an
-    object with numeric ``generation``, ``population_hv``, ``best_reward``
-    and ``archive_hv``, raises a ValueError naming the file and the line."""
+    object with finite numbers for ``generation``, ``population_hv``,
+    ``best_reward`` and ``archive_hv``, raises a ValueError naming the file,
+    the line and the key."""
     records = []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, 1):
@@ -120,8 +126,9 @@ def read_records(path):
                 raise ValueError(f"{where}: expected a JSON object")
             for key in ("generation", "population_hv", "best_reward", "archive_hv"):
                 value = rec.get(key)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{where}: {key!r} is missing or not a number")
+                if not _finite_number(value):
+                    raise ValueError(f"{where}: {key!r} is missing or not a number: "
+                                     f"expected a finite number, got {value!r}")
             records.append(rec)
     return records
 
@@ -245,17 +252,6 @@ def emit_boxplot_csv(labelled_values, path):
 # run orchestration
 # ---------------------------------------------------------------------------
 
-def _check_config_type(path, key, val):
-    """Reject a config-file value whose YAML type does not fit its field."""
-    hint = int if key == "reps" else typing.get_type_hints(IbeaConfig)[key]
-    allowed = typing.get_args(hint) or (hint,)
-    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-    if float in allowed:
-        allowed += (int,)
-    if isinstance(val, bool) != (bool in allowed) or not isinstance(val, allowed):
-        raise ValueError(f"{path}: {key} must be {names}, not {val!r}")
-
-
 def _config_from_args(args):
     fields = {}
     if args.config:
@@ -270,8 +266,9 @@ def _config_from_args(args):
         unknown = sorted(str(k) for k in loaded if k not in known)
         if unknown:
             raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
-        for key, val in loaded.items():
-            _check_config_type(args.config, key, val)
+        reps = loaded.get("reps")
+        if "reps" in loaded and (isinstance(reps, bool) or not isinstance(reps, int)):
+            raise ValueError(f"{args.config}: reps must be int, not {reps!r}")
         fields.update(loaded)
     for f in dataclasses.fields(IbeaConfig):
         val = getattr(args, f.name, None)
@@ -359,10 +356,8 @@ def read_summary(run_dir):
     for i, rep in enumerate(meta["repetitions"]):
         if not isinstance(rep, dict) or "best_reward" not in rep:
             raise ValueError(f"{path}: repetition {i} has no 'best_reward'")
-        value = rep["best_reward"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{path}: repetition {i}: 'best_reward' {value!r} "
+        if not _finite_number(rep["best_reward"]):
+            raise ValueError(f"{path}: repetition {i}: 'best_reward' {rep['best_reward']!r} "
                              "is not a finite number")
     return meta
 

@@ -11,8 +11,10 @@ generation's batch.  The trim rescores only after removals that change the
 surface (see :func:`survivor_select`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+import numbers
 import time
+from typing import get_args
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from . import pwt_dp, tours
 from .instance_io import Instance
 
 SELECTION_SCHEMES = ("exp", "iq", "har", "fps", "ts", "as_bst", "as_ext", "uar")
+# what a field's annotated type admits, where not itself; no type but bool admits a bool
+_ADMITS = {int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass
@@ -39,6 +43,12 @@ class IbeaConfig:
     seeding_p_random: float = tours.P_RANDOM_DEFAULT
 
     def __post_init__(self):
+        for f in fields(self):
+            value, allowed = getattr(self, f.name), get_args(f.type) or (f.type,)
+            if not any(isinstance(value, _ADMITS.get(t, t))
+                       and (t is bool or not isinstance(value, bool)) for t in allowed):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"{f.name} must be {names}, not {value!r}")
         if self.mu < 2:
             raise ValueError("mu must be >= 2")
         if self.generations < 0:
@@ -92,7 +102,6 @@ class RunRecord:
 @dataclass
 class RunResult:
     records: list
-    archive_points: list            # best-ever Pareto archive over all fronts
     best_reward: float
     best_tour: np.ndarray           # the orientation that best_plan is packed on
     best_plan: list                 # 1-based item indices, rebuilt once at the end
@@ -288,9 +297,6 @@ class _Archive:
     def hv(self):
         return fr._hv(self.rewards, self.weights, self.capacity)
 
-    def points(self):
-        return list(zip(self.rewards.tolist(), self.weights.tolist()))
-
 
 def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
     """Run the hybrid loop for ``cfg.generations`` generations.
@@ -334,6 +340,5 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
             break
 
     best_tour, best_plan = _best_solution(inst, archive.best_tour, cfg.both_orientations)
-    return RunResult(records=records, archive_points=archive.points(),
-                     best_reward=archive.best_reward, best_tour=best_tour,
+    return RunResult(records=records, best_reward=archive.best_reward, best_tour=best_tour,
                      best_plan=best_plan, final_population=pop)

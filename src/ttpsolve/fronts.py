@@ -36,7 +36,6 @@ class Surface:
     rewards: np.ndarray
     weights: np.ndarray
     membership: np.ndarray  # (n_fronts, n_points) bool
-    fronts: tuple
     capacity: int
 
 
@@ -63,23 +62,23 @@ class SurfacePool:
 
     Every front must be a strict staircase (as ``DpFront`` guarantees), so a
     surface point matches at most one point of each front: the one with the
-    same weight.
+    same weight.  The pool keeps the fronts' points, not the fronts.
     """
 
     def __init__(self, fronts):
-        self._fronts = tuple(fronts)
-        if not self._fronts:
+        fronts = list(fronts)
+        if not fronts:
             raise ValueError("surface needs at least one front")
-        self._rewards = np.concatenate([f.rewards for f in self._fronts])
-        self._weights = np.concatenate([f.weights for f in self._fronts]).astype(np.int64)
-        self._owner = np.repeat(np.arange(len(self._fronts)),
-                                [f.rewards.size for f in self._fronts])
+        self._rewards = np.concatenate([f.rewards for f in fronts])
+        self._weights = np.concatenate([f.weights for f in fronts]).astype(np.int64)
+        self._owner = np.repeat(np.arange(len(fronts)), [f.rewards.size for f in fronts])
         self._order = staircase_order(self._rewards, self._weights)
-        self._ids = list(range(len(self._fronts)))   # live index -> front id
+        self._count, self._capacity = len(fronts), fronts[0].capacity
+        self._ids = list(range(self._count))   # live index -> front id
         self.surface = self._scan()
 
     def _scan(self) -> Surface:
-        live = np.zeros(len(self._fronts), bool)
+        live = np.zeros(self._count, bool)
         live[self._ids] = True
         heads = staircase_heads(self._rewards, self._order[live[self._owner[self._order]]])
         self._has_head = np.zeros(live.size, bool)
@@ -93,32 +92,32 @@ class SurfacePool:
         membership = np.zeros((live.size, surf_r.size), bool)
         membership[self._owner[hit], at[hit]] = True
         return Surface(rewards=surf_r, weights=surf_w, membership=membership[live],
-                       fronts=tuple(self._fronts[f] for f in self._ids),
-                       capacity=self._fronts[0].capacity)
+                       capacity=self._capacity)
 
     def remove(self, i: int) -> Surface:
-        """Drop live front ``i`` (its index in ``surface.fronts``)."""
+        """Drop live front ``i`` (its row in ``surface.membership``)."""
         if self._has_head[self._ids.pop(i)]:
             self.surface = self._scan()
         else:
             s = self.surface
             rows = s.membership
-            self.surface = Surface(rewards=s.rewards, weights=s.weights,
-                                   membership=np.concatenate((rows[:i], rows[i + 1:])),
-                                   fronts=s.fronts[:i] + s.fronts[i + 1:],
-                                   capacity=s.capacity)
+            self.surface = Surface(s.rewards, s.weights,
+                                   np.concatenate((rows[:i], rows[i + 1:])), s.capacity)
         return self.surface
 
 
 def _hv(rewards, weights, capacity) -> float:
-    """Dominated area of a non-dominated point set w.r.t. reference (0, C)."""
+    """Dominated area of a staircase w.r.t. reference (0, C).
+
+    The points must come weight ascending with rewards strictly increasing,
+    as ``staircase`` returns them (a surface, any subset of one, the
+    archive), so each strip runs to the next point without a sort.
+    """
     qual = (rewards > 0) & (weights < capacity)
     if not qual.any():
         return 0.0
     r = rewards[qual]
     w = weights[qual].astype(np.float64)
-    order = np.argsort(w)
-    r, w = r[order], w[order]
     nxt = np.concatenate((w[1:], [float(capacity)]))
     return float((r * (nxt - w)).sum())
 
@@ -140,7 +139,7 @@ def all_indicators(s: Surface, kind: str) -> np.ndarray:
         return s.membership.sum(axis=1) / s.rewards.size
     # a front that owns no surface point alone loses nothing on removal
     exclusive = s.membership & (s.membership.sum(axis=0) == 1)
-    out = np.zeros(len(s.fronts))
+    out = np.zeros(s.membership.shape[0])
     for fi in np.flatnonzero(exclusive.any(axis=1)):
         rest = ~exclusive[fi]
         out[fi] = 1.0 - _hv(s.rewards[rest], s.weights[rest], s.capacity) / total

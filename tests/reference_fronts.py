@@ -41,8 +41,7 @@ def surface(fronts) -> Surface:
         ok[ok] &= f.weights[at[ok]] == surf_w[ok]
         ok[ok] &= np.abs(f.rewards[at[ok]] - surf_r[ok]) <= REWARD_EQ_ATOL
         membership[fi] = ok
-    return Surface(rewards=surf_r, weights=surf_w, membership=membership,
-                   fronts=fronts, capacity=capacity)
+    return Surface(rewards=surf_r, weights=surf_w, membership=membership, capacity=capacity)
 
 
 def _hv(rewards, weights, capacity) -> float:
@@ -67,9 +66,9 @@ def all_indicators(s: Surface, kind: str) -> np.ndarray:
     total = _hv(s.rewards, s.weights, s.capacity)
     if total == 0.0:
         return s.membership.sum(axis=1) / s.rewards.size
-    out = np.empty(len(s.fronts))
+    out = np.empty(s.membership.shape[0])
     sole = counts == 1
-    for fi in range(len(s.fronts)):
+    for fi in range(s.membership.shape[0]):
         rest = ~(s.membership[fi] & sole)
         out[fi] = 1.0 - _hv(s.rewards[rest], s.weights[rest], s.capacity) / total
     return out

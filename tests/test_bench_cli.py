@@ -483,7 +483,12 @@ def _write_cli_inputs(tmp_path):
                        ("no_hv", json.dumps({k: v for k, v in record.items()
                                              if k != "population_hv"})),
                        ("text_generation", json.dumps({**record, "generation": "0"})),
-                       ("bool_reward", json.dumps({**record, "best_reward": True}))):
+                       ("bool_reward", json.dumps({**record, "best_reward": True})),
+                       # json writes and reads these as NaN, Infinity and -Infinity
+                       ("nan_hv", json.dumps({**record, "population_hv": math.nan})),
+                       ("nan_generation", json.dumps({**record, "generation": math.nan})),
+                       ("inf_archive_hv", json.dumps({**record, "archive_hv": math.inf})),
+                       ("neg_inf_reward", json.dumps({**record, "best_reward": -math.inf}))):
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(json.dumps(summaries["no_reps"]))
         (tmp_path / name / "rep_000.jsonl").write_text(json.dumps(record) + "\n" + line + "\n")
@@ -595,6 +600,21 @@ def _bad_input(number, argv, needle):
                "empty_run: summary.json lists no repetitions"),
     _bad_input(48, ["plotdata", "--mode", "convergence", "--records", "{tmp}/empty_run"],
                "empty_run: summary.json lists no repetitions"),
+    _bad_input(49, ["summarize", "--records", "{tmp}/nan_hv", "--baseline", "L"],
+               "nan_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number: "
+               "expected a finite number, got nan"),
+    _bad_input(50, ["plotdata", "--mode", "convergence", "--records", "{tmp}/nan_hv"],
+               "nan_hv/rep_000.jsonl, line 2: 'population_hv' is missing or not a number: "
+               "expected a finite number, got nan"),
+    _bad_input(51, ["plotdata", "--mode", "convergence", "--records", "{tmp}/nan_generation"],
+               "nan_generation/rep_000.jsonl, line 2: 'generation' is missing or not a number: "
+               "expected a finite number, got nan"),
+    _bad_input(52, ["summarize", "--records", "{tmp}/inf_archive_hv", "--baseline", "L"],
+               "inf_archive_hv/rep_000.jsonl, line 2: 'archive_hv' is missing or not a number: "
+               "expected a finite number, got inf"),
+    _bad_input(53, ["summarize", "--records", "{tmp}/neg_inf_reward", "--baseline", "L"],
+               "neg_inf_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number: "
+               "expected a finite number, got -inf"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

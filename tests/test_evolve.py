@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,6 +342,32 @@ def test_config_validation():
         with pytest.raises(ValueError, match="tournament_size must be >= 1"):
             IbeaConfig(selection="ts", tournament_size=size)
     assert IbeaConfig(generations=0, tournament_size=1).tournament_size == 1
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("both_orientations", "no", "both_orientations must be bool, not 'no'"),
+    ("both_orientations", 1, "both_orientations must be bool, not 1"),
+    ("mu", 2.5, "mu must be int, not 2.5"),
+    ("mu", True, "mu must be int, not True"),
+    ("seed", "3", "seed must be int, not '3'"),
+    ("lam", 4.0, "lam must be int or null, not 4.0"),
+    ("lam", False, "lam must be int or null, not False"),
+    ("crossover_prob", "high", "crossover_prob must be float, not 'high'"),
+    ("crossover_prob", True, "crossover_prob must be float, not True"),
+    ("indicator", None, "indicator must be str, not None"),
+])
+def test_config_rejects_wrong_types(field, value, needle):
+    """A library caller gets the type rule the command line applies to a
+    config file, before any value is used."""
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        IbeaConfig(**{field: value})
+
+
+def test_config_accepts_any_integer_and_integer_probabilities():
+    cfg = IbeaConfig(mu=np.int64(4), lam=None, seed=np.uint32(7), crossover_prob=1,
+                     mutation_split=np.float64(0.25), seeding_generations=np.int32(0))
+    assert cfg.lam == 4 and cfg.crossover_prob == 1
+    assert IbeaConfig(lam=np.int16(3)).lam == 3
 
 
 # Frozen (best_reward, population_hv, archive_hv) of short seeded eil51 runs.
