@@ -1,7 +1,8 @@
 """The two hot kernels: the exact DP column merge and the Inver-over loop.
 
 Each kernel has one source, in numpy and plain Python, so a run depends
-only on its seed.  ``dp_merge`` updates one DP column with back-links;
+only on its seed.  Every Pareto filter is one running max,
+``staircase_heads``.  ``dp_merge`` updates one DP column with back-links;
 ``dp_merge_segments`` updates many columns of a batch at once, points only.
 Both prune by one rule, ``_survivors``: a stable sort by weight (within a
 segment) merges the keep run and the take run, each already strictly
@@ -33,8 +34,21 @@ NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
-# DP column merge
+# Running-max filter and DP column merge
 # ---------------------------------------------------------------------------
+
+def staircase_heads(values, order):
+    """The entries of ``order`` whose value (not NaN) beats every value
+    before them; on a subsequence of ``pwt_dp.staircase_order``, the
+    staircase of those points."""
+    v = values[order]
+    keep = np.empty(v.size, bool)
+    keep[:1] = True
+    # without NaN, fmax is maximum, and runs faster
+    np.greater(v[1:], np.fmax.accumulate(v)[:-1], out=keep[1:])
+    # gathering through nonzero beats a boolean mask at DP column sizes
+    return order[keep.nonzero()[0]]
+
 
 def _survivors(key, b_all, seg=None):
     """Indices of the cells that survive the merge, in merge order.
@@ -47,22 +61,15 @@ def _survivors(key, b_all, seg=None):
     ``seg`` gives the cells' segment ids).  Where both cells of an
     equal-key pair survive, the take beat its keep and the keep is dropped.
     """
-    order = key.argsort(kind="stable")
-    b_sorted = b_all[order]
-    if seg is None:
-        v = b_sorted
-    else:
+    v = b_all
+    if seg is not None:
         # numpy orders complex numbers lexicographically, so a (segment,
         # reward) pair beats the running max before it at its segment's
         # first cell or where its reward beats every earlier one there
-        v = np.empty(b_sorted.size, np.complex128)
-        v.real = seg[order]
-        v.imag = b_sorted
-    keep = np.empty(v.size, bool)
-    keep[:1] = True
-    # on rewards without NaN, fmax is maximum, and its accumulate is faster
-    np.greater(v[1:], np.fmax.accumulate(v)[:-1], out=keep[1:])
-    sel = order[keep.nonzero()[0]]
+        v = np.empty(b_all.size, np.complex128)
+        v.real = seg
+        v.imag = b_all
+    sel = staircase_heads(v, key.argsort(kind="stable"))
     k_sel = key[sel]
     last = np.empty(sel.size, bool)
     last[-1:] = True

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pwt_dp import REWARD_EQ_ATOL, staircase_heads, staircase_order
+from ._kernels import staircase_heads
+from .pwt_dp import REWARD_EQ_ATOL, staircase_order
 
 LSC = "lsc"
 LHV = "lhv"

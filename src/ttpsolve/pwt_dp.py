@@ -5,9 +5,10 @@ non-dominated staircase which a knapsack-style dynamic program recovers
 exactly: items are processed in tour order, each column is derived from its
 predecessor by a keep-vs-take step, and dominated cells are pruned
 immediately.  Columns are sparse (only surviving cells are stored).
-``dp_front`` retains only the final column and every column's (took, prev)
-back-links, and rebuilds packing plans by back-walking them; the batched
-``dp_fronts`` keeps no links and yields points only.
+Both paths take their inputs from one ``_setup``.  ``dp_front`` retains
+only the final column and every column's (took, prev) back-links, and
+rebuilds packing plans by back-walking them; the batched ``dp_fronts``
+keeps no links and yields points only.
 """
 
 from dataclasses import dataclass, replace
@@ -43,8 +44,6 @@ class DpFront:
     def plans(self) -> np.ndarray:
         if self.plans_packed is None:
             raise ValueError("a points-only front (from dp_fronts) has no plans; use dp_front")
-        if self.m == 0:
-            return np.zeros((len(self.rewards), 0), bool)
         return np.unpackbits(self.plans_packed, axis=1, count=self.m).astype(bool)
 
     def plan_items(self, i: int) -> list:
@@ -67,31 +66,13 @@ def staircase(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
     heavy, better-ranked) point.  Among points equal in both coordinates the
     earliest index wins.  Rewards must not be NaN.
     """
-    return staircase_heads(rewards, staircase_order(rewards, weights))
+    return _kernels.staircase_heads(rewards, staircase_order(rewards, weights))
 
 
 def staircase_order(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The order :func:`staircase` scans points in: weight ascending, then
     reward descending, then index ascending."""
     return np.lexsort((np.arange(rewards.size), -rewards, weights))
-
-
-def staircase_heads(rewards: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The entries of ``order`` whose reward beats every reward before them.
-
-    On a subsequence of :func:`staircase_order` (the points of a subset, in
-    their scan order) this is exactly the staircase of that subset.
-    """
-    b = rewards[order]
-    keep = np.ones(b.size, bool)
-    keep[1:] = b[1:] > np.maximum.accumulate(b[:-1])
-    return order[keep]
-
-
-def _pack_plans(plans: np.ndarray) -> np.ndarray:
-    if plans.shape[1] == 0:
-        return np.zeros((plans.shape[0], 0), np.uint8)
-    return np.packbits(plans.astype(np.uint8), axis=1)
 
 
 def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
@@ -102,31 +83,32 @@ def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):
     ``ValueError``: its speed model does not hold, and may reach zero.
     """
     taken = np.asarray(taken, bool)
-    weight = int(taken.astype(np.int64) @ inst.item_weight) if inst.m else 0
+    item_w = inst.item_weight[taken]
+    weight = int(item_w.sum())
     if weight > inst.capacity:
         raise ValueError(f"packing weight {weight} exceeds the capacity {inst.capacity}")
     node_weight = np.zeros(inst.n + 1, np.int64)
-    node_profit = np.zeros(inst.n + 1, np.int64)
-    for k in np.flatnonzero(taken):
-        node_weight[inst.items[k].node] += inst.items[k].weight
-        node_profit[inst.items[k].node] += inst.items[k].profit
+    np.add.at(node_weight, inst.item_node[taken], item_w)
+    node_weight = node_weight.tolist()
     time = 0.0
     w = 0
+    # legs in tour order, so the float sum keeps its order
     for city, d in zip(t.tolist(), _legs(inst, t).tolist()):
-        w += int(node_weight[city])
+        w += node_weight[city]
         time += d / (inst.vmax - inst.nu * w)
-    return float(node_profit.sum() - inst.rent * time), weight
+    return float(inst.item_profit[taken].sum() - inst.rent * time), weight
 
 
 def _setup(inst: Instance, tour_mat: np.ndarray):
     """The DP inputs of each row of a ``(tours, n)`` tour matrix.
 
-    Returns ``(orders, rd_rows, b)``: each tour's items sorted by the tour
-    position of their node, then by item index (a stable sort); the
-    rent-weighted distance from each ordered item's node back to the depot;
-    and the base reward, the empty packing charged with the full tour at
-    top speed.  The legs and their suffix sums stay integers until the rent
-    factor.
+    Returns ``(orders, item_w, item_p, rd_rows, b)``, one row per tour:
+    the tour's items sorted by the tour position of their node, then by
+    item index (a stable sort); the weights (int64) and profits (float64)
+    of the items in that order; the rent-weighted distance from each
+    ordered item's node back to the depot; and the base reward, the empty
+    packing charged with the full tour at top speed.  The legs and their
+    suffix sums stay integers until the rent factor.
     """
     rows = np.arange(tour_mat.shape[0])[:, None]
     pos_of_city = np.empty((tour_mat.shape[0], inst.n + 1), np.int64)
@@ -135,32 +117,18 @@ def _setup(inst: Instance, tour_mat: np.ndarray):
     orders = np.argsort(item_pos, axis=1, kind="stable")
     suffix = np.cumsum(_legs(inst, tour_mat)[:, ::-1], axis=1)[:, ::-1]
     rd_rows = inst.rent * suffix[rows, item_pos[rows, orders]].astype(np.float64)
-    return orders, rd_rows, -inst.rent * suffix[:, 0] / inst.vmax
-
-
-def _dp_columns(inst: Instance, order: np.ndarray, rd: np.ndarray, b: np.ndarray):
-    """An iterator over one tour's pruned DP columns, from one row of :func:`_setup`.
-
-    Each column ``(w, b, took, prev)`` is merged from its predecessor, the
-    first from the base column ``b``; each item column adds only the cost
-    differences caused by taking that item.  Columns are made as the
-    iterator advances, so a caller keeps only what it needs of them.
-    """
-    col_w, col_b = np.zeros(1, np.int64), b
-    for k, r in zip(order.tolist(), rd.tolist()):
-        col_w, col_b, took, prev = _kernels.dp_merge(
-            col_w, col_b, int(inst.item_weight[k]), float(inst.item_profit[k]), r,
-            inst.vmax, inst.nu, inst.capacity)
-        yield col_w, col_b, took, prev
+    return (orders, inst.item_weight[orders], inst.item_profit[orders].astype(np.float64),
+            rd_rows, -inst.rent * suffix[:, 0] / inst.vmax)
 
 
 def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
-    """Exact DP front for tour ``t`` with recoverable packing plans."""
-    orders, rd_rows, b = _setup(inst, t[None])
-    order = orders[0]
+    """Exact DP front for tour ``t`` with recoverable packing plans; one
+    ``dp_merge`` per item in tour order, on Python scalars."""
+    orders, item_w, item_p, rd_rows, b = _setup(inst, t[None])
     w = np.zeros(1, np.int64)
     links = []
-    for w, b, took, prev in _dp_columns(inst, order, rd_rows[0], b):
+    for iw, ip, r in zip(item_w[0].tolist(), item_p[0].tolist(), rd_rows[0].tolist()):
+        w, b, took, prev = _kernels.dp_merge(w, b, iw, ip, r, inst.vmax, inst.nu, inst.capacity)
         links.append((took, prev))
     # back-walk every final cell at once, collecting flags by item rank
     by_rank = np.zeros((inst.m, w.size), bool)
@@ -170,8 +138,8 @@ def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
         by_rank[j] = took[cur]
         cur = prev[cur]
     plans = np.zeros((w.size, inst.m), bool)
-    plans[:, order] = by_rank.T
-    return DpFront(tour=t.copy(), rewards=b, weights=w, plans_packed=_pack_plans(plans),
+    plans[:, orders[0]] = by_rank.T
+    return DpFront(tour=t.copy(), rewards=b, weights=w, plans_packed=np.packbits(plans, axis=1),
                    m=inst.m, capacity=inst.capacity)
 
 
@@ -203,9 +171,7 @@ def dp_fronts(inst: Instance, tours) -> list:
     if n_seg == 0:
         return []
     tour_mat = np.array(tours, np.int64).reshape(n_seg, inst.n)
-    orders, rd_rows, b = _setup(inst, tour_mat)
-    item_w = inst.item_weight[orders]
-    item_p = inst.item_profit[orders].astype(np.float64)
+    _, item_w, item_p, rd_rows, b = _setup(inst, tour_mat)
     seg = np.arange(n_seg)
     w = np.zeros(n_seg, np.int64)
     for j in range(inst.m):

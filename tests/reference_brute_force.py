@@ -9,7 +9,7 @@ Pareto-filters the feasible ones; ``tests/test_pwt_dp.py`` and
 import numpy as np
 
 from ttpsolve.instance_io import Instance
-from ttpsolve.pwt_dp import DpFront, _pack_plans, staircase
+from ttpsolve.pwt_dp import DpFront, staircase
 from ttpsolve.tours import _legs
 
 BRUTE_FORCE_MAX_ITEMS = 24
@@ -43,4 +43,4 @@ def brute_force_front(inst: Instance, t: np.ndarray) -> DpFront:
     # on ties the earliest-enumerated packing wins
     keep = staircase(rewards, weights)
     return DpFront(tour=t.copy(), rewards=rewards[keep], weights=weights[keep],
-                   plans_packed=_pack_plans(packs[keep]), m=m, capacity=inst.capacity)
+                   plans_packed=np.packbits(packs[keep], axis=1), m=m, capacity=inst.capacity)

@@ -64,11 +64,11 @@ def test_survivor_select_identity(tiny4):
 
 
 def test_survivor_tie_break_uniform(tiny4):
+    t = make_tour([1, 2, 3, 4])
+    front = dp_front(tiny4, t)
     removed = np.zeros(3)
     for trial in range(10_000):
-        pop = _pop(tiny4, [[1, 2, 3, 4]] * 3)
-        for ind in pop:
-            ind.value = 0.5
+        pop = [Individual(tour=t, front=front, value=0.5) for _ in range(3)]
         out = survivor_select(pop, 2, np.random.default_rng(trial), "lhv", _pool(pop))
         kept = {id(i) for i in out}
         gone = next(k for k, ind in enumerate(pop) if id(ind) not in kept)

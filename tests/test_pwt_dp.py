@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttpsolve import _kernels
 from ttpsolve.evolve import IbeaConfig, run_ibea
 from ttpsolve.instance_io import (
     Item, distance, make_instance, parse_instance, serialize_instance, validate,
 )
 from ttpsolve.pwt_dp import (
-    REWARD_RTOL, _dp_columns, _setup, dp_front, dp_fronts, evaluate,
-    merge_fronts, staircase,
+    REWARD_RTOL, _setup, dp_front, dp_fronts, evaluate, merge_fronts, staircase,
 )
 from ttpsolve.tours import make_tour, reverse_tour, tour_length
 
@@ -86,12 +86,17 @@ def test_best_reward(tiny4):
 
 def test_no_items():
     inst = make_instance("bare", [(0, 0), (0, 3), (4, 3), (4, 0)], [], 10, 0.1, 1.0, 2.0)
-    f = dp_front(inst, make_tour(FWD))
-    assert (f.rewards.tolist(), f.weights.tolist()) == ([-28.0], [0])
-    assert_same_front(dp_fronts(inst, [make_tour(FWD)] * 2)[1], f)
-    g = brute_force_front(inst, make_tour(FWD))
-    assert (g.rewards.tolist(), g.weights.tolist()) == ([-28.0], [0])
-    assert f.rewards.max() == -28.0
+    t = make_tour(FWD)
+    f = dp_front(inst, t)
+    assert_same_front(dp_fronts(inst, [t] * 2)[1], f)
+    for g in (f, brute_force_front(inst, t)):
+        assert (g.rewards.tolist(), g.weights.tolist()) == ([-28.0], [0])
+        # zero-width plans pack and unpack through numpy as (1, 0) arrays
+        assert g.plans.shape == (1, 0)
+        assert g.plan_items(0) == []
+        assert json.loads(g.to_json()) == {"tour": FWD, "points": [[-28.0, 0]], "plans": [[]]}
+        assert evaluate(inst, t, g.plans[0]) == (-28.0, 0)
+    assert evaluate(inst, t, []) == (-28.0, 0)
 
 
 def test_zero_capacity(tiny4):
@@ -147,8 +152,10 @@ def test_column_monotonicity(tiny4):
     for _ in range(30):
         inst = random_instance(rng)
         t = random_tour(rng, inst.n)
-        orders, rd_rows, b = _setup(inst, t[None])
-        for w, b, _, _ in _dp_columns(inst, orders[0], rd_rows[0], b):
+        _, item_w, item_p, rd_rows, b = _setup(inst, t[None])
+        w = np.zeros(1, np.int64)
+        for iw, ip, r in zip(item_w[0].tolist(), item_p[0].tolist(), rd_rows[0].tolist()):
+            w, b, _, _ = _kernels.dp_merge(w, b, iw, ip, r, inst.vmax, inst.nu, inst.capacity)
             assert np.all(np.diff(w) > 0)
             assert np.all(np.diff(b) > 0)
             assert np.all(w <= inst.capacity)
