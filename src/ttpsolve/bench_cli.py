@@ -5,7 +5,8 @@ Subcommands: ``run``, ``summarize``, ``plotdata``, ``dpfront``,
 ``seed-tours``.  Record files are JSON lines (one
 generation record per line); summaries are single JSON documents.  The
 ``TTPSOLVE_WORKERS`` env var sets the number of concurrent repetition
-workers for ``run``, at most one per repetition.
+workers for ``run``, at most one per repetition; each worker writes the
+record file of the repetition it ran.
 """
 
 import argparse
@@ -19,8 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
-from scipy import special
 
 from . import fronts as fr
 from . import pwt_dp, tours
@@ -38,8 +37,11 @@ def welch_t_test(a, b):
     """Welch's unequal-variance t-test, two-sided.
 
     Returns (t, df, p) with df by Welch-Satterthwaite and p taken from the
-    t-distribution via the regularized incomplete beta.
+    t-distribution via the regularized incomplete beta.  ``scipy.special``
+    is imported here, so only ``summarize`` loads it.
     """
+    from scipy import special
+
     a = np.asarray(a, np.float64)
     b = np.asarray(b, np.float64)
     if a.size < 2 or b.size < 2:
@@ -255,6 +257,8 @@ def emit_boxplot_csv(labelled_values, path):
 def _config_from_args(args):
     fields = {}
     if args.config:
+        import yaml
+
         with open(args.config) as fh:
             try:
                 loaded = yaml.safe_load(fh) or {}
@@ -283,10 +287,18 @@ def _config_from_args(args):
     return IbeaConfig(**fields), reps
 
 
-def _one_rep(instance_text, cfg_dict, seed):
-    inst = parse_instance(instance_text)
-    cfg = IbeaConfig(**{**cfg_dict, "seed": seed})
-    return run_ibea(inst, cfg)
+def _one_rep(path, instance_text, cfg_dict, seed):
+    """Run one repetition, write its records to ``path`` and return its
+    ``summary.json`` entry, so a pool worker sends back no records or population."""
+    res = run_ibea(parse_instance(instance_text), IbeaConfig(**{**cfg_dict, "seed": seed}))
+    write_records(path, res.records)
+    last = res.records[-1]
+    return {"seed": seed,
+            "final_hypervolume": last.population_hv,
+            "best_reward": res.best_reward,
+            "archive_hv": last.archive_hv,
+            "best_tour": res.best_tour.tolist(),
+            "best_plan": res.best_plan}
 
 
 def _workers(reps):
@@ -313,29 +325,21 @@ def cli_run(args):
     workers = _workers(reps)
     seeds = [cfg.seed + i for i in range(reps)]
 
+    jobs = ([out_dir / f"rep_{i:03d}.jsonl" for i in range(reps)],
+            [text] * reps, [cfg_dict] * reps, seeds)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_rep, [text] * reps, [cfg_dict] * reps, seeds))
+            repetitions = list(pool.map(_one_rep, *jobs))
     else:
-        results = [_one_rep(text, cfg_dict, s) for s in seeds]
+        repetitions = list(map(_one_rep, *jobs))
 
-    for i, res in enumerate(results):
-        write_records(out_dir / f"rep_{i:03d}.jsonl", res.records)
     summary = {
         "instance": inst.name,
         "label": label,
         "config": {**cfg_dict, "seed": cfg.seed, "reps": reps},
-        "repetitions": [
-            {"seed": s,
-             "final_hypervolume": res.records[-1].population_hv,
-             "best_reward": res.best_reward,
-             "archive_hv": res.records[-1].archive_hv,
-             "best_tour": res.best_tour.tolist(),
-             "best_plan": res.best_plan}
-            for s, res in zip(seeds, results)
-        ],
+        "repetitions": repetitions,
     }
-    rewards = [r["best_reward"] for r in summary["repetitions"]]
+    rewards = [r["best_reward"] for r in repetitions]
     summary["best_reward_mean"] = float(np.mean(rewards))
     summary["best_reward_max"] = float(np.max(rewards))
     with open(out_dir / "summary.json", "w") as fh:

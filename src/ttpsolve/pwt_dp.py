@@ -42,19 +42,23 @@ class DpFront:
 
     @property
     def plans(self) -> np.ndarray:
+        return self._unpack(slice(None))
+
+    def _unpack(self, rows) -> np.ndarray:
         if self.plans_packed is None:
             raise ValueError("a points-only front (from dp_fronts) has no plans; use dp_front")
-        return np.unpackbits(self.plans_packed, axis=1, count=self.m).astype(bool)
+        return np.unpackbits(self.plans_packed[rows], axis=-1, count=self.m).astype(bool)
 
     def plan_items(self, i: int) -> list:
         """1-based item indices of the packing behind point ``i``."""
-        return [int(k) + 1 for k in np.flatnonzero(self.plans[i])]
+        return (np.flatnonzero(self._unpack(i)) + 1).tolist()
 
     def to_json(self) -> str:
+        plans = self.plans
         return json.dumps({
             "tour": self.tour.tolist(),
             "points": [[r, int(w)] for r, w in zip(self.rewards, self.weights)],
-            "plans": [self.plan_items(i) for i in range(len(self.rewards))],
+            "plans": [(np.flatnonzero(row) + 1).tolist() for row in plans],
         })
 
 

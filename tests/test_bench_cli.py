@@ -3,6 +3,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import pickle
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,7 @@ import yaml
 from ttpsolve import bench_cli
 from ttpsolve.bench_cli import (
     box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
-    final_metrics, log_p_measure, main, read_records, summarize, welch_t_test,
+    final_metrics, log_p_measure, main, read_records, summarize, welch_t_test, write_records,
 )
 from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
 from ttpsolve.fronts import INDICATOR_KINDS
@@ -33,6 +38,23 @@ def test_welch_shifted_fixture():
     assert t == pytest.approx(-1.0)
     assert df == pytest.approx(8.0)
     assert p == pytest.approx(0.3466, abs=0.0005)
+
+
+def test_import_loads_scipy_special_and_yaml_on_first_use():
+    """Importing the CLI loads neither ``scipy.special`` nor ``yaml``; the
+    first ``welch_t_test`` loads scipy.special and gives the same p."""
+    code = ("import sys\n"
+            "import ttpsolve.bench_cli as b\n"
+            "print(sorted(m for m in ('scipy.special', 'yaml') if m in sys.modules))\n"
+            "p = b.welch_t_test([1, 2, 3, 4, 5], [2, 3, 4, 5, 6])[2]\n"
+            "print('scipy.special' in sys.modules, repr(p))\n")
+    src = str(Path(bench_cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "True 0.34659350708733416"]
 
 
 def test_welch_degenerate():
@@ -165,6 +187,50 @@ def test_cli_run_deterministic_modulo_walltime(tiny4_file, tmp_path):
             d1.pop("wall_ms")
             d2.pop("wall_ms")
         assert r1 == r2
+
+
+def _clock_free(path):
+    """The bytes of a record file with every ``wall_ms`` value zeroed."""
+    return re.sub(rb'"wall_ms": [^}]*}', b'"wall_ms": 0}', path.read_bytes())
+
+
+def test_cli_run_writes_the_same_files_with_one_and_two_workers(tmp_path, monkeypatch):
+    """Each worker writes its repetition's records; one worker and a pool of
+    two write the same bytes, and each record file is ``write_records`` of
+    ``run_ibea`` for its seed (up to the wall clock)."""
+    args = ["run", "--instance", str(INSTANCES / "eil51_n50_uncorr.ttp"), "--mu", "8",
+            "--generations", "3", "--seeding-generations", "10", "--reps", "3", "--seed", "11"]
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TTPSOLVE_WORKERS", workers)
+        assert main([*args, "--out", str(tmp_path / workers)]) == 0
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert sorted(p.name for p in one.iterdir()) == sorted(p.name for p in two.iterdir()) == \
+        ["rep_000.jsonl", "rep_001.jsonl", "rep_002.jsonl", "summary.json"]
+    assert (one / "summary.json").read_bytes() == (two / "summary.json").read_bytes()
+    inst = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+    for i, seed in enumerate((11, 12, 13)):
+        name = f"rep_{i:03d}.jsonl"
+        write_records(tmp_path / name, run_ibea(inst, IbeaConfig(
+            mu=8, generations=3, seeding_generations=10, seed=seed)).records)
+        assert _clock_free(one / name) == _clock_free(two / name) == \
+            _clock_free(tmp_path / name)
+
+
+def test_one_rep_returns_only_its_summary_entry(tmp_path):
+    text = (INSTANCES / "eil51_n50_uncorr.ttp").read_text()
+    cfg = {"mu": 8, "generations": 3, "seeding_generations": 10}
+    entry = bench_cli._one_rep(tmp_path / "rep.jsonl", text, cfg, 11)
+    res = run_ibea(parse_instance(text), IbeaConfig(**cfg, seed=11))
+    assert type(entry) is dict
+    assert entry == {"seed": 11,
+                     "final_hypervolume": res.records[-1].population_hv,
+                     "best_reward": res.best_reward,
+                     "archive_hv": res.records[-1].archive_hv,
+                     "best_tour": res.best_tour.tolist(),
+                     "best_plan": res.best_plan}
+    assert (tmp_path / "rep.jsonl").read_text().count("\n") == 4
+    # what a pool worker sends back is that entry, not the run's records
+    assert len(pickle.dumps(entry)) < 1500
 
 
 def test_cli_run_rejects_zero_reps(tiny4_file, tmp_path):

@@ -180,6 +180,26 @@ def test_front_json_roundtrip(tiny4):
     assert doc["plans"][-1] == [1, 3]
 
 
+def test_front_json_and_plan_items_equal_the_plan_rows():
+    """On a front of hundreds of points, ``to_json`` and ``plan_items`` give
+    each point the 1-based items of its row of ``plans``."""
+    rng = np.random.default_rng(20)
+    weights = rng.integers(1, 1001, 20)
+    items = [Item(int(w) + 100, int(w), int(rng.integers(2, 11))) for w in weights]
+    inst = make_instance("sc20", rng.integers(0, 100, (10, 2)).astype(float), items,
+                         capacity=int(weights.sum()) // 2, vmin=0.1, vmax=1.0, rent=0.01)
+    f = dp_front(inst, random_tour(rng, inst.n))
+    assert f.rewards.size >= 200
+    rows = [[k + 1 for k, taken in enumerate(row.tolist()) if taken] for row in f.plans]
+    assert f.to_json() == json.dumps({
+        "tour": f.tour.tolist(),
+        "points": [[r, w] for r, w in zip(f.rewards.tolist(), f.weights.tolist())],
+        "plans": rows,
+    })
+    assert [f.plan_items(i) for i in range(f.rewards.size)] == rows
+    assert f.plan_items(-1) == rows[-1]
+
+
 def test_merge_fronts(tiny4):
     a = dp_front(tiny4, make_tour(FWD))
     b = dp_front(tiny4, make_tour(REV))
