@@ -14,17 +14,21 @@ when it would ahead of its keep, so this keeps the cells of the scalar
 merge's ``old_b[i] >= tb[j]`` pick, and both merges equal it
 (``tests/reference_dp_merge.py``).
 
-``run_inver_over`` runs on Python lists and replays
-``numpy.random.RandomState(seed)`` from raw 32-bit words drawn in chunks
-(the legacy stream is frozen, so the replay is exact).  Each chunk comes as
-two tables, the words and a flag per word saying whether the
+``run_inver_over`` runs on byte tours (a ``bytearray`` per tour) up to 256
+cities and on Python lists above that; one loop body serves both, since
+indexing, slicing, ``index`` and ``reverse`` mean the same on either, and
+on bytes ``index`` is a ``memchr`` and a slice copies no object references.
+It replays ``numpy.random.RandomState(seed)`` from raw 32-bit words drawn
+in chunks (the legacy stream is frozen, so the replay is exact).  Each
+chunk comes as two tables that build no Python lists: a ``memoryview`` of
+the words and a ``bytes`` flag per word saying whether the
 ``random_sample`` starting there is at most ``p_random``; the loop applies
 RandomState's masked rejection for ``randint`` inline on the words.  The
-partner city of the non-random branch comes from a successor list per tour,
-rebuilt only when a tour is replaced.  The current city's index ``i`` is
-carried from step to step: a reversal puts the partner city ``c2`` at
-``i + 1``, which is where the walk goes next; ``c2``'s index comes from
-``list.index``.
+partner city of the non-random branch comes from a successor dict per
+tour, rebuilt only when a tour is replaced.  The current city's index
+``i`` is carried from step to step: a reversal puts the partner city
+``c2`` at ``i + 1``, which is where the walk goes next; ``c2``'s index
+comes from the tour's ``index``.
 """
 
 import numpy as np
@@ -149,9 +153,10 @@ class _RandomStateReplay:
 
     ``refill(k)`` hands out the next table: the unread tail of the last one
     (from index ``k`` on) followed by a fresh chunk of ``_CHUNK`` words.
-    It gives ``words``, the words as Python ints; ``low``, where ``low[k]``
-    says whether the ``random_sample()`` starting at word ``k`` is at most
-    ``p_random`` (each term of the formula is exact in float64, so numpy
+    It gives ``words``, a ``memoryview`` of the words, whose items index as
+    Python ints; ``low``, a ``bytes`` where ``low[k]`` is 1 if the
+    ``random_sample()`` starting at word ``k`` is at most ``p_random`` and 0
+    otherwise (each term of the formula is exact in float64, so numpy
     computes the value Python would); and ``limit``, the last index at
     which a reader may still take ``_AHEAD`` words without a new check.
     """
@@ -172,15 +177,12 @@ class _RandomStateReplay:
                             self._rs.randint(0, 2**32, size=self._CHUNK, dtype=np.uint32)))
         self._w = w
         sample = ((w[:-1] >> 5) * 67108864.0 + (w[1:] >> 6)) / 9007199254740992.0
-        return w.tolist(), (sample <= self._p_random).tolist(), w.size - self._AHEAD
+        return memoryview(w), (sample <= self._p_random).tobytes(), w.size - self._AHEAD
 
 
 def _successors(tour):
     """``succ[c]``, the city after ``c`` in the cyclic ``tour``."""
-    succ = [0] * len(tour)
-    for c, nxt in zip(tour, tour[1:] + tour[:1]):
-        succ[c] = nxt
-    return succ
+    return dict(zip(tour, tour[1:] + tour[:1]))
 
 
 def run_inver_over(pop, dist, generations, p_random, seed):
@@ -191,8 +193,10 @@ def run_inver_over(pop, dist, generations, p_random, seed):
     no reversal is possible, so ``pop`` is left as it is.  Otherwise the
     result is bit for bit that of the scalar loop drawing from
     ``RandomState(seed)`` one call at a time
-    (``tests/reference_inver_over.py``): this loop runs on Python lists and
-    reads those draws from ``_RandomStateReplay``'s tables, applying the
+    (``tests/reference_inver_over.py``): this loop runs on a ``bytearray``
+    per tour when ``n <= 256`` (every city fits in a byte) and on a Python
+    list otherwise, looks partner cities up in a successor dict per tour,
+    and reads the draws from ``_RandomStateReplay``'s tables, applying the
     masked rejection inline.  It checks for a refill before each step and
     each retried draw; a step reads at most ``_AHEAD`` words past a check.
     """
@@ -200,7 +204,9 @@ def run_inver_over(pop, dist, generations, p_random, seed):
     if n < 3:
         return
     d = dist.tolist()
-    tours = pop.tolist()
+    # every 0-based city of up to 256 fits in a byte
+    seq = bytearray if n <= 256 else list
+    tours = [seq(t) for t in pop.tolist()]
     succ = [_successors(t) for t in tours]
     rng = _RandomStateReplay(seed, p_random)
     words, low, limit = rng.refill(0)
@@ -269,4 +275,4 @@ def run_inver_over(pop, dist, generations, p_random, seed):
             if delta <= 0 and moved:
                 tours[s] = cur
                 succ[s] = _successors(cur)
-    pop[:] = tours
+    pop[:] = [list(t) for t in tours]

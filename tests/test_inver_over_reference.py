@@ -1,4 +1,4 @@
-"""The list-based Inver-over loop against the numpy-indexed reference.
+"""The table-driven Inver-over loop against the numpy-indexed reference.
 
 ``reference_inver_over.inver_over_py`` is the original loop that draws from
 ``numpy.random.RandomState`` one call at a time.  ``_kernels.run_inver_over``
@@ -44,13 +44,19 @@ def assert_bit_identical(results):
 @example(n=64, ps=33, p_random=1.0, generations=3, spread=100, layout=1, seed=1)
 @example(n=300, ps=3, p_random=0.02, generations=2, spread=100, layout=2, seed=3)
 @example(n=5, ps=2, p_random=0.0, generations=1, spread=100, layout=0, seed=1)
+@example(n=256, ps=3, p_random=0.02, generations=2, spread=100, layout=3, seed=4)
+@example(n=257, ps=3, p_random=0.02, generations=2, spread=100, layout=4, seed=5)
+@example(n=8, ps=257, p_random=0.0, generations=2, spread=100, layout=5, seed=6)
 def test_inver_over_matches_reference(n, ps, p_random, generations, spread, layout, seed):
     """Power-of-two ``n`` and ``ps`` hit the rejection mask's edge; a small
     coordinate spread gives duplicate cities and zero-length edges.  At
     n = 300 the city labels lie above CPython's small-int cache, so the
     loop's ``list.index`` lookups match by value, not identity.  The n = 5
     example makes one reversal, which wraps past index 0; the n = 4 one
-    reverses a segment that starts at index 0."""
+    reverses a segment that starts at index 0.  The loop holds a tour in a
+    ``bytearray`` up to n = 256, whose tours hold city 255, and in a list
+    from n = 257 on.  At ps = 257 every partner draw of the non-random
+    branch reads a 9-bit mask, so word bits above the low byte decide it."""
     rng = np.random.default_rng(layout)
     xy = rng.integers(0, spread, size=(n, 2)).astype(np.float64)
     dist = _ceil2d(xy[:, None], xy[None])

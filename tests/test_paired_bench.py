@@ -1,0 +1,78 @@
+"""``scripts/paired_bench.py``'s summary of canned paired runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("paired_bench", ROOT / "scripts" / "paired_bench.py")
+paired_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_bench)
+
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def run(seed, correct=True, fingerprint=(1.0, 2.0), **metrics):
+    values = {"wall_s": 1.0, "op_ms_tail": 50.0, "ops_per_s": 6.0, "setup_s": 0.3,
+              "peak_rss_mb": 80.0}
+    values.update(metrics)
+    return {"seed": seed, "correct": correct, "fingerprint": list(fingerprint),
+            "metrics": values}
+
+
+def canned_pairs():
+    """Ten pairs: the change's op tail ~35% lower in 9, tied in 1; its
+    ops_per_s higher in 9; the parent's wall_s so spread that it says
+    nothing; setup_s 30% worse on the change; peak_rss_mb equal."""
+    pairs = []
+    for i in range(10):
+        tail = 70.0 + i
+        pairs.append({
+            "parent": run(100 + i, op_ms_tail=tail, ops_per_s=6.0 + 0.01 * i,
+                          wall_s=1.0 + (0.5 if i % 2 else -0.5), setup_s=0.30),
+            "change": run(100 + i, op_ms_tail=tail if i == 3 else 0.65 * tail,
+                          ops_per_s=6.0 + 0.01 * i + (0.0 if i == 0 else 1.0),
+                          wall_s=1.0, setup_s=0.39),
+        })
+    return pairs
+
+
+def test_summary_rows():
+    rows, faults = paired_bench.summarize(canned_pairs(), END_TO_END)
+    assert faults == []
+    assert list(rows) == [spec["name"] for spec in END_TO_END]
+    tail = rows["op_ms_tail"]
+    assert (tail["wins"], tail["pairs"], tail["status"]) == (9, 10, "better")
+    assert tail["parent"] == (72.25, 74.5, 76.75)
+    assert rows["ops_per_s"]["wins"] == 9 and rows["ops_per_s"]["status"] == "better"
+    assert rows["wall_s"]["status"] == "unresolved"
+    assert rows["setup_s"]["status"] == "worse"
+    assert rows["peak_rss_mb"]["wins"] == 0
+    assert rows["peak_rss_mb"]["status"] == "within bound"
+    table = paired_bench.format_rows("seed-eil76", rows, {s["name"]: s["unit"] for s in END_TO_END})
+    assert len(table.splitlines()) == 1 + len(END_TO_END)
+
+
+def test_eight_wins_of_ten_are_no_gain():
+    pairs = canned_pairs()
+    pairs[5]["change"]["metrics"]["op_ms_tail"] = pairs[5]["parent"]["metrics"]["op_ms_tail"] + 1
+    rows, _ = paired_bench.summarize(pairs, END_TO_END)
+    assert rows["op_ms_tail"]["wins"] == 8
+    assert rows["op_ms_tail"]["status"] == "within bound"
+
+
+def test_change_beating_every_parent_run_resolves_a_wide_spread():
+    pairs = canned_pairs()
+    for pair in pairs:
+        pair["change"]["metrics"]["wall_s"] = 0.4
+    rows, _ = paired_bench.summarize(pairs, END_TO_END)
+    assert rows["wall_s"]["status"] == "better"
+
+
+def test_faults_name_incorrect_runs_and_differing_fingerprints():
+    pairs = canned_pairs()
+    pairs[2]["change"]["correct"] = False
+    pairs[7]["change"]["fingerprint"] = [1.0, 2.5]
+    _, faults = paired_bench.summarize(pairs, END_TO_END)
+    assert faults == ["change seed 102: correct is false",
+                      "seed 107: episode-0 fingerprints differ"]
