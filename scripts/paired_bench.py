@@ -20,8 +20,10 @@ neither side) and a verdict against the metric's bound in the change's
   parent's by more than the bound;
 - ``within bound``: the rest.
 
-Exits 1 if any run reports ``correct: false`` or exits non-zero, or if a
-pair's two episode-0 fingerprints differ.  Nothing in either checkout is
+Each side's failed ops over its attempted ops, summed over its runs, are
+printed after the rows.  Exits 1 if any run reports ``correct: false`` or
+exits non-zero, if a pair's two episode-0 fingerprints differ, or if the
+change's failed share exceeds the parent's.  Nothing in either checkout is
 edited, apart from what ``perfbench/run.py`` itself writes to its ``out/``.
 """
 
@@ -66,14 +68,25 @@ def verdict(parent, change, better, bound):
             "status": status}
 
 
+def failed_shares(pairs):
+    """``{side: (failed, attempted, share)}``, each summed over the side's runs."""
+    out = {}
+    for side in SIDES:
+        failed = sum(pair[side]["failed"] for pair in pairs)
+        attempted = sum(pair[side]["attempted"] for pair in pairs)
+        out[side] = (failed, attempted, failed / attempted if attempted else 0.0)
+    return out
+
+
 def summarize(pairs, end_to_end):
     """Rows of every end-to-end metric and the faults of the runs.
 
     ``pairs`` holds one ``{"parent": run, "change": run}`` per pair, where
-    a run is ``{"seed", "correct", "fingerprint", "metrics": {name:
-    value}}``; ``end_to_end`` is ``BENCHMARK.json``'s list of the same
-    name.  A fault is a run that is not correct or a pair whose two
-    fingerprints differ.
+    a run is ``{"seed", "correct", "fingerprint", "attempted", "failed",
+    "metrics": {name: value}}``; ``end_to_end`` is ``BENCHMARK.json``'s
+    list of the same name.  A fault is a run that is not correct, a pair
+    whose two fingerprints differ, or a change whose share of failed ops
+    exceeds the parent's.
     """
     faults = []
     for pair in pairs:
@@ -82,6 +95,10 @@ def summarize(pairs, end_to_end):
                 faults.append(f"{side} seed {pair[side]['seed']}: correct is false")
         if pair["parent"]["fingerprint"] != pair["change"]["fingerprint"]:
             faults.append(f"seed {pair['parent']['seed']}: episode-0 fingerprints differ")
+    shares = failed_shares(pairs)
+    if shares["change"][2] > shares["parent"][2]:
+        faults.append(f"failed op share rises: parent {shares['parent'][2]:.4g}, "
+                      f"change {shares['change'][2]:.4g}")
     rows = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -102,6 +119,12 @@ def format_rows(workload, rows, units):
     return "\n".join(lines)
 
 
+def format_shares(workload, shares):
+    return "  ".join([f"{workload:<11} failed ops"] + [
+        f"{side} {failed}/{attempted} ({share:.2%})"
+        for side, (failed, attempted, share) in shares.items()])
+
+
 def run_once(checkout, workload, seed, seconds):
     """One ``perfbench/run.py --trace 0`` run in ``checkout``."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -109,10 +132,11 @@ def run_once(checkout, workload, seed, seconds):
                           cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        return {"seed": seed, "correct": False, "fingerprint": None,
-                "metrics": {}, "error": f"exit code {proc.returncode}"}
+        return {"seed": seed, "correct": False, "fingerprint": None, "attempted": 0,
+                "failed": 0, "metrics": {}, "error": f"exit code {proc.returncode}"}
     info, result = json.loads(lines[-2])["info"], json.loads(lines[-1])
     return {"seed": seed, "correct": result["correct"], "fingerprint": info["fingerprint"],
+            "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
@@ -139,8 +163,8 @@ def main(argv=None):
             run = run_once(checkouts[side], args.workload, seed, args.seconds)
             pair[side] = run
             values = " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items())
-            print(f"{args.workload} seed {seed} {side}: correct={run['correct']} {values}",
-                  flush=True)
+            print(f"{args.workload} seed {seed} {side}: correct={run['correct']} "
+                  f"failed={run['failed']}/{run['attempted']} {values}", flush=True)
             if "error" in run:
                 print(f"paired_bench: {side} run failed ({run['error']})", file=sys.stderr)
                 return 1
@@ -148,6 +172,7 @@ def main(argv=None):
 
     rows, faults = summarize(pairs, end_to_end)
     print(format_rows(args.workload, rows, units))
+    print(format_shares(args.workload, failed_shares(pairs)))
     for fault in faults:
         print(f"paired_bench: {fault}", file=sys.stderr)
     return 1 if faults else 0

@@ -18,15 +18,17 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
-from . import fronts as fr
 from . import pwt_dp, tours
-from .evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
+from .evolve import IbeaConfig, run_ibea
 from .instance_io import parse_instance
 
 FLOAT_FMT = "%.9g"
+# the keys of a record line that its readers check; a line holds them, then ``wall_ms``
+RECORD_KEYS = ("generation", "population_hv", "best_reward", "archive_hv")
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +87,12 @@ def box_stats(values):
 # ---------------------------------------------------------------------------
 
 def write_records(path, records):
+    """One JSON line per ``RunRecord``: its :data:`RECORD_KEYS`, then
+    ``wall_ms``.  Its surface points are not written: no reader reads them."""
+    keys = RECORD_KEYS + ("wall_ms",)
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict()) + "\n")
+            fh.write(json.dumps({k: getattr(rec, k) for k in keys}) + "\n")
 
 
 def _invalid_json(where, exc):
@@ -111,9 +116,9 @@ def _finite_number(value):
 
 def read_records(path):
     """The records of a JSONL file; a malformed line, or one that is not an
-    object with finite numbers for ``generation``, ``population_hv``,
-    ``best_reward`` and ``archive_hv``, raises a ValueError naming the file,
-    the line and the key."""
+    object with finite numbers for every key of :data:`RECORD_KEYS`, raises a
+    ValueError naming the file, the line and the key.  Other keys are read
+    as they are, such as the ``surface`` list that older run dirs hold."""
     records = []
     with open(path) as fh:
         for lineno, ln in enumerate(fh, 1):
@@ -126,7 +131,7 @@ def read_records(path):
                 raise _invalid_json(where, exc) from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{where}: expected a JSON object")
-            for key in ("generation", "population_hv", "best_reward", "archive_hv"):
+            for key in RECORD_KEYS:
                 value = rec.get(key)
                 if not _finite_number(value):
                     raise ValueError(f"{where}: {key!r} is missing or not a number: "
@@ -488,18 +493,14 @@ def build_parser():
     run.add_argument("--config", help="YAML/JSON config file; flags override")
     run.add_argument("--out", default="runs/out")
     run.add_argument("--reps", type=int)
-    run.add_argument("--mu", type=int)
-    run.add_argument("--generations", type=int)
-    run.add_argument("--lam", type=int)
-    run.add_argument("--indicator", choices=fr.INDICATOR_KINDS)
-    run.add_argument("--selection", choices=SELECTION_SCHEMES)
-    run.add_argument("--crossover-prob", dest="crossover_prob", type=float)
-    run.add_argument("--mutation-split", dest="mutation_split", type=float)
-    run.add_argument("--tournament-size", dest="tournament_size", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--both-orientations", dest="both_orientations",
-                     action="store_const", const=True)
-    run.add_argument("--seeding-generations", dest="seeding_generations", type=int)
+    # one flag per config field: --seeding-p-random sets seeding_p_random
+    for f in dataclasses.fields(IbeaConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            run.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            kind = next(t for t in get_args(f.type) or (f.type,) if t is not type(None))
+            run.add_argument(flag, dest=f.name, type=kind, choices=f.metadata.get("choices"))
     run.set_defaults(func=cli_run)
 
     summ = sub.add_parser("summarize", help="cross-configuration statistics")

@@ -11,7 +11,7 @@ generation's batch.  The trim rescores only after removals that change the
 surface (see :func:`survivor_select`).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 import numbers
 import time
 from typing import get_args
@@ -32,8 +32,8 @@ class IbeaConfig:
     mu: int = 50
     generations: int = 100          # the generation limit
     lam: int | None = None          # offspring per generation; defaults to mu
-    indicator: str = fr.LHV
-    selection: str = "fps"
+    indicator: str = field(default=fr.LHV, metadata={"choices": fr.INDICATOR_KINDS})
+    selection: str = field(default="fps", metadata={"choices": SELECTION_SCHEMES})
     crossover_prob: float = 0.8
     mutation_split: float = 0.5     # probability of 2OPT over JUMP
     tournament_size: int = 2
@@ -49,6 +49,9 @@ class IbeaConfig:
                        and (t is bool or not isinstance(value, bool)) for t in allowed):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError(f"{f.name} must be {names}, not {value!r}")
+            choices = f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, not {value!r}")
         if self.mu < 2:
             raise ValueError("mu must be >= 2")
         if self.generations < 0:
@@ -66,10 +69,6 @@ class IbeaConfig:
             raise ValueError("seeding_p_random must lie in [0, 1]")
         if self.seeding_generations < 0:
             raise ValueError("seeding_generations must be >= 0")
-        if self.indicator not in fr.INDICATOR_KINDS:
-            raise ValueError(f"unknown indicator: {self.indicator}")
-        if self.selection not in SELECTION_SCHEMES:
-            raise ValueError(f"unknown selection scheme: {self.selection}")
 
 
 @dataclass
@@ -81,22 +80,15 @@ class Individual:
 
 @dataclass
 class RunRecord:
+    """One generation's outcome.  ``surface_points`` (the population
+    surface's ``(reward, weight)`` pairs) is kept in memory only, for the
+    callback and the tests; ``bench_cli.write_records`` writes the rest."""
     generation: int
     surface_points: list
     population_hv: float
     best_reward: float
     archive_hv: float
     wall_ms: float
-
-    def to_json_dict(self):
-        return {
-            "generation": self.generation,
-            "surface": [[r, int(w)] for r, w in self.surface_points],
-            "population_hv": self.population_hv,
-            "best_reward": self.best_reward,
-            "archive_hv": self.archive_hv,
-            "wall_ms": self.wall_ms,
-        }
 
 
 @dataclass

@@ -19,7 +19,7 @@ from ttpsolve.bench_cli import (
     box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
     final_metrics, log_p_measure, main, read_records, summarize, welch_t_test, write_records,
 )
-from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
+from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, RunRecord, run_ibea
 from ttpsolve.fronts import INDICATOR_KINDS
 from ttpsolve.instance_io import parse_instance
 from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate
@@ -558,6 +558,13 @@ def _write_cli_inputs(tmp_path):
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(json.dumps(summaries["no_reps"]))
         (tmp_path / name / "rep_000.jsonl").write_text(json.dumps(record) + "\n" + line + "\n")
+    (tmp_path / "bare").mkdir()
+    # two well-formed runs of one repetition each, on different instances
+    for name, label, instance in (("tiny4_run", "A", "tiny4"), ("eil51_run", "B", "eil51")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(
+            {"label": label, "instance": instance, "repetitions": [{"best_reward": 1.0}]}))
+        (tmp_path / name / "rep_000.jsonl").write_text(json.dumps(record) + "\n")
 
 
 def _bad_input(number, argv, needle):
@@ -681,6 +688,10 @@ def _bad_input(number, argv, needle):
     _bad_input(53, ["summarize", "--records", "{tmp}/neg_inf_reward", "--baseline", "L"],
                "neg_inf_reward/rep_000.jsonl, line 2: 'best_reward' is missing or not a number: "
                "expected a finite number, got -inf"),
+    _bad_input(54, ["plotdata", "--mode", "convergence", "--records", "{tmp}/bare"],
+               "bare: no rep_000.jsonl record file"),
+    _bad_input(55, ["summarize", "--records", "{tmp}/tiny4_run", "{tmp}/eil51_run", "--baseline",
+                    "A"], "mismatched instance sets: ['eil51', 'tiny4']"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)
@@ -751,3 +762,74 @@ def test_run_parser_choices_are_the_config_constants():
     choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
     assert list(choices["indicator"]) == list(INDICATOR_KINDS)
     assert list(choices["selection"]) == list(SELECTION_SCHEMES)
+
+
+def test_run_parser_has_a_flag_per_config_field():
+    parser = bench_cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {opt: a.dest for a in sub.choices["run"]._actions for opt in a.option_strings}
+    for f in dataclasses.fields(IbeaConfig):
+        assert dests["--" + f.name.replace("_", "-")] == f.name
+
+
+def test_cli_run_flags_reach_summary_config(tiny4_file, tmp_path, monkeypatch):
+    """Each config field's flag, ``--seeding-p-random`` among them, reaches
+    the summary's config."""
+    values = {**NON_DEFAULT_CONFIG, "seeding_p_random": 0.25}
+    flags = []
+    for name, value in values.items():
+        flag = "--" + name.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(out), "--seed", "5",
+                 *flags]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config == {**values, "seed": 5, "reps": 1}
+
+
+def test_write_records_line_holds_the_checked_keys_then_wall_ms(tmp_path):
+    records = [RunRecord(generation=g, surface_points=[(0.1 + 0.2, 2), (7.5, 4)],
+                         population_hv=g / 3, best_reward=-math.inf if g == 0 else 7.5 * g,
+                         archive_hv=1e-300 * g, wall_ms=0.25 + g)
+               for g in range(3)]
+    path = tmp_path / "rep_000.jsonl"
+    write_records(path, records)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        got = json.loads(line)
+        assert list(got) == ["generation", "population_hv", "best_reward", "archive_hv",
+                             "wall_ms"]
+        assert got == {k: getattr(rec, k) for k in got}
+
+
+def test_run_dir_with_surface_lists_still_reads(tiny4_file, tmp_path, monkeypatch):
+    """Record lines that still hold a ``surface`` list, as older run dirs
+    do, read, summarize and plot as the same lines without it."""
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(new), "--reps", "2",
+                 "--mu", "4", "--generations", "3", "--seeding-generations", "3"]) == 0
+    old.mkdir()
+    (old / "summary.json").write_text((new / "summary.json").read_text())
+    for rep in ("rep_000.jsonl", "rep_001.jsonl"):
+        lines, scalars = [], []
+        for rec in read_records(new / rep):
+            rec.pop("surface", None)
+            scalars.append(rec)
+            lines.append(json.dumps({"generation": rec["generation"],
+                                     "surface": [[45.0, 4], [75.0, 7]], **rec}))
+        (old / rep).write_text("\n".join(lines) + "\n")
+        old_records = read_records(old / rep)
+        assert all(r.pop("surface") == [[45.0, 4], [75.0, 7]] for r in old_records)
+        assert old_records == scalars
+    assert final_metrics(old) == final_metrics(new)
+    for d in (new, old):
+        assert main(["summarize", "--records", str(d), "--baseline", "fps-lhv",
+                     "--out", str(d / "table.json")]) == 0
+        assert main(["plotdata", "--mode", "convergence", "--records", str(d),
+                     "--out", str(d / "plots")]) == 0
+    assert (old / "table.json").read_text() == (new / "table.json").read_text()
+    assert (old / "plots" / "convergence.csv").read_text() == \
+        (new / "plots" / "convergence.csv").read_text()

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ from conftest import INSTANCES
 
 from ttpsolve import fronts, pwt_dp, tours
 from ttpsolve.evolve import (
-    IbeaConfig, Individual, _FrontCache, compute_indicators, mate, parent_select, run_ibea,
-    selection_probabilities, survivor_select,
+    SELECTION_SCHEMES, IbeaConfig, Individual, _FrontCache, compute_indicators, mate,
+    parent_select, run_ibea, selection_probabilities, survivor_select,
 )
 from ttpsolve.instance_io import parse_instance
 from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate, merge_fronts
@@ -131,6 +132,8 @@ def test_selection_probabilities_closed_forms():
     assert selection_probabilities("har", 4) == pytest.approx(
         [0.48, 0.24, 0.16, 0.12], abs=1e-9)
     assert selection_probabilities("uar", 4) == pytest.approx([0.25] * 4)
+    with pytest.raises(ValueError, match="no closed form for scheme: fps"):
+        selection_probabilities("fps", 4)
 
 
 def test_selection_empirical_frequencies(tiny4):
@@ -342,6 +345,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="tournament_size must be >= 1"):
             IbeaConfig(selection="ts", tournament_size=size)
     assert IbeaConfig(generations=0, tournament_size=1).tournament_size == 1
+    with pytest.raises(ValueError, match="lambda must be >= 1"):
+        IbeaConfig(lam=0)
 
 
 @pytest.mark.parametrize("field, value, needle", [
@@ -361,6 +366,18 @@ def test_config_rejects_wrong_types(field, value, needle):
     config file, before any value is used."""
     with pytest.raises(ValueError, match=re.escape(needle)):
         IbeaConfig(**{field: value})
+
+
+def test_config_choices_live_in_field_metadata():
+    """The allowed indicators and selection schemes are each field's
+    ``choices``, and a value outside them is named in the error."""
+    choices = {f.name: f.metadata["choices"] for f in dataclasses.fields(IbeaConfig)
+               if "choices" in f.metadata}
+    assert choices == {"indicator": fronts.INDICATOR_KINDS, "selection": SELECTION_SCHEMES}
+    with pytest.raises(ValueError, match=re.escape("indicator must be one of lsc, lhv, not 'hv'")):
+        IbeaConfig(indicator="hv")
+    with pytest.raises(ValueError, match="selection must be one of exp, iq, .*, not 'FPS'"):
+        IbeaConfig(selection="FPS")
 
 
 def test_config_accepts_any_integer_and_integer_probabilities():

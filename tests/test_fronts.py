@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from ttpsolve.fronts import LHV, LSC, _hv, all_indicators, surface
+from ttpsolve.fronts import LHV, LSC, SurfacePool, _hv, all_indicators, surface
 from ttpsolve.pwt_dp import dp_front, staircase
 from ttpsolve.tours import make_tour
 
@@ -68,6 +68,13 @@ def test_surface_identical_fronts(pair):
     s = surface([fwd, fwd])
     assert np.array_equal(s.weights, fwd.weights)
     assert all(contributors(s, i) == [0, 1] for i in range(len(s.rewards)))
+
+
+def test_pool_and_indicators_reject_bad_input(pair):
+    with pytest.raises(ValueError, match="surface needs at least one front"):
+        SurfacePool([])
+    with pytest.raises(ValueError, match="unknown indicator kind: hv"):
+        all_indicators(surface(pair), "hv")
 
 
 def test_hypervolume_examples(pair):

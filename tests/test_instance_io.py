@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +59,25 @@ def test_parse_duplicate_header():
         parse_instance(text)
 
 
+@pytest.mark.parametrize("text, match", [
+    pytest.param(TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION 4"),
+                 "malformed header line: 'DIMENSION 4'", id="header-without-colon"),
+    pytest.param(TINY4_TEXT[:TINY4_TEXT.index("NODE_COORD_SECTION")],
+                 "missing NODE_COORD_SECTION", id="no-coordinates"),
+    pytest.param(TINY4_TEXT[:TINY4_TEXT.index("ITEMS SECTION")],
+                 "missing ITEMS SECTION", id="no-items"),
+    pytest.param(TINY4_TEXT.replace("\n2 0 3\n", "\n3 0 3\n"),
+                 "coordinate index out of order: '3 0 3'", id="coordinate-index"),
+    pytest.param(TINY4_TEXT.replace("\n2 30 3 3\n", "\n2 30 3\n"),
+                 "malformed item line: '2 30 3'", id="item-fields"),
+    pytest.param(TINY4_TEXT.replace("\n2 30 3 3\n", "\n3 30 3 3\n"),
+                 "item index out of order: '3 30 3 3'", id="item-index"),
+])
+def test_parse_rejects_broken_layout(text, match):
+    with pytest.raises(InstanceFormatError, match=re.escape(match)):
+        parse_instance(text)
+
+
 def test_distance_examples(tiny4):
     assert distance(tiny4, 1, 2) == 3
     assert distance(tiny4, 1, 3) == 5
@@ -111,6 +132,11 @@ def test_validate_item_at_depot(tiny4):
                         5, 0.1, 1.0, 1.0)
     report = validate(bad)
     assert len(report) == 1 and "depot" in report[0]
+
+
+def test_validate_reports_inconsistent_nu(tiny4):
+    report = validate(dataclasses.replace(tiny4, nu=tiny4.nu / 2))
+    assert report == ["stored nu inconsistent with (vmax - vmin)/C"]
 
 
 def test_validate_degenerate_speed(tiny4):

@@ -12,12 +12,12 @@ _spec.loader.exec_module(paired_bench)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def run(seed, correct=True, fingerprint=(1.0, 2.0), **metrics):
+def run(seed, correct=True, fingerprint=(1.0, 2.0), failed=0, attempted=40, **metrics):
     values = {"wall_s": 1.0, "op_ms_tail": 50.0, "ops_per_s": 6.0, "setup_s": 0.3,
               "peak_rss_mb": 80.0}
     values.update(metrics)
     return {"seed": seed, "correct": correct, "fingerprint": list(fingerprint),
-            "metrics": values}
+            "attempted": attempted, "failed": failed, "metrics": values}
 
 
 def canned_pairs():
@@ -76,3 +76,21 @@ def test_faults_name_incorrect_runs_and_differing_fingerprints():
     _, faults = paired_bench.summarize(pairs, END_TO_END)
     assert faults == ["change seed 102: correct is false",
                       "seed 107: episode-0 fingerprints differ"]
+
+
+def test_a_rising_failed_share_is_a_fault():
+    """Shares are summed over each side's runs: the parent fails 1 of 400
+    ops, the change 2 of 300; a change that fails a smaller share is no fault."""
+    pairs = canned_pairs()
+    pairs[4]["parent"]["failed"] = 1
+    pairs[6]["change"]["failed"] = 2
+    for pair in pairs:
+        pair["change"]["attempted"] = 30
+    shares = paired_bench.failed_shares(pairs)
+    assert shares == {"parent": (1, 400, 0.0025), "change": (2, 300, 2 / 300)}
+    _, faults = paired_bench.summarize(pairs, END_TO_END)
+    assert faults == ["failed op share rises: parent 0.0025, change 0.006667"]
+    line = paired_bench.format_shares("ibea-eil51", shares)
+    assert "parent 1/400 (0.25%)" in line and "change 2/300 (0.67%)" in line
+    pairs[6]["change"]["failed"] = 0
+    assert paired_bench.summarize(pairs, END_TO_END)[1] == []

@@ -41,6 +41,8 @@ def test_tour_invariant_rejects_bad():
         make_tour([2, 1, 3])
     with pytest.raises(ValueError):
         make_tour([1, 2, 2])
+    with pytest.raises(ValueError, match="city numbers must be integers, not float64"):
+        make_tour(np.array([1.0, 2.0, 3.0]))
 
 
 def test_is_valid_tour_rejects_empty():
