@@ -307,13 +307,16 @@ def _one_rep(path, instance_text, cfg_dict, seed):
 
 
 def _workers(reps):
-    """``TTPSOLVE_WORKERS`` (default 1), capped at ``reps``: the process pool
-    starts all its workers at once, used or not."""
+    """``TTPSOLVE_WORKERS`` (default 1, at least 1), capped at ``reps``: the
+    process pool starts all its workers at once, used or not."""
     raw = os.environ.get("TTPSOLVE_WORKERS", "1")
     try:
-        return min(int(raw), reps)
+        workers = int(raw)
     except ValueError:
         raise ValueError(f"TTPSOLVE_WORKERS must be an integer, not {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"TTPSOLVE_WORKERS must be at least 1, not {raw!r}")
+    return min(workers, reps)
 
 
 def cli_run(args):
@@ -321,17 +324,21 @@ def cli_run(args):
         text = fh.read()
     inst = parse_instance(text)
     cfg, reps = _config_from_args(args)
+    workers = _workers(reps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"rep_{i:03d}.jsonl" for i in range(reps)]
+    # drop an earlier run's summary.json and the record files this run writes
+    # first, so a rerun cut short leaves no summary and none of their files
+    for old in [out_dir / "summary.json", *paths]:
+        old.unlink(missing_ok=True)
 
     cfg_dict = dataclasses.asdict(cfg)
     del cfg_dict["seed"]
     label = f"{cfg.selection}-{cfg.indicator}"
-    workers = _workers(reps)
     seeds = [cfg.seed + i for i in range(reps)]
 
-    jobs = ([out_dir / f"rep_{i:03d}.jsonl" for i in range(reps)],
-            [text] * reps, [cfg_dict] * reps, seeds)
+    jobs = (paths, [text] * reps, [cfg_dict] * reps, seeds)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             repetitions = list(pool.map(_one_rep, *jobs))

@@ -93,15 +93,19 @@ class RunRecord:
 
 @dataclass
 class RunResult:
+    """``best_reward`` is the archive's top point and ``best_tour`` its tour,
+    the orientation that ``best_plan`` is packed on."""
     records: list
     best_reward: float
-    best_tour: np.ndarray           # the orientation that best_plan is packed on
+    best_tour: np.ndarray
     best_plan: list                 # 1-based item indices, rebuilt once at the end
     final_population: list
 
 
 class _FrontCache:
-    """The DP fronts of the last batch, keyed by the exact tour."""
+    """The DP fronts of the last batch, keyed by the exact tour.  With both
+    orientations a front merges the tour's and its reversal's, and its tour
+    is the orientation that holds its top point."""
 
     def __init__(self, inst, both_orientations):
         self.inst = inst
@@ -120,19 +124,6 @@ class _FrontCache:
         if self.both:
             found = [pwt_dp.merge_fronts(a, b) for a, b in zip(found, found[len(tour_list):])]
         self.data = {t.tobytes(): f for t, f in zip(tour_list, found)}
-
-
-def _best_solution(inst, tour, both_orientations):
-    """The orientation of ``tour`` and the 1-based plan behind its top reward.
-
-    The reversal wins only where ``merge_fronts`` would keep its top point.
-    """
-    front = pwt_dp.dp_front(inst, tour)
-    if both_orientations:
-        rev = pwt_dp.dp_front(inst, tours.reverse_tour(tour))
-        if (rev.rewards[-1], -rev.weights[-1]) > (front.rewards[-1], -front.weights[-1]):
-            front = rev
-    return front.tour, front.plan_items(front.rewards.size - 1)
 
 
 def compute_indicators(pop, kind):
@@ -262,29 +253,26 @@ def mate(parents, cfg, rng):
 
 
 class _Archive:
-    """Best-ever Pareto archive over every front produced in a run (points only)."""
+    """Best-ever Pareto archive over every front produced in a run: one
+    points-only front, whose tour is its top point's (see ``merge_fronts``).
+    ``best_reward`` and ``best_tour`` are read off that point."""
 
     def __init__(self, capacity):
         self.capacity = capacity
-        self.rewards = np.zeros(0)
-        self.weights = np.zeros(0, np.int64)
-        self.best_reward = -np.inf
-        self.best_tour = None
+        self.front = pwt_dp.DpFront(tour=np.zeros(0, np.int64), rewards=np.zeros(0),
+                                    weights=np.zeros(0, np.int64), plans_packed=None,
+                                    m=0, capacity=capacity)
 
     def add(self, batch):
-        """Merge a batch of fronts with one ``staircase``; it keeps the
-        earliest of exact ties, so this equals adding them one at a time.
-        Each front is a strict staircase, so its last reward is its best."""
-        for front in batch:
-            top = float(front.rewards[-1])
-            if top > self.best_reward:
-                self.best_reward = top
-                self.best_tour = front.tour.copy()
-        rewards = np.concatenate([self.rewards] + [f.rewards for f in batch])
-        weights = np.concatenate([self.weights] + [f.weights for f in batch])
-        keep = pwt_dp.staircase(rewards, weights)
-        self.rewards = rewards[keep]
-        self.weights = weights[keep]
+        """Merge a batch of fronts after the kept one, so that the kept one
+        wins exact ties; this equals adding them one at a time."""
+        if batch:
+            self.front = pwt_dp.merge_fronts(self.front, *batch)
+
+    rewards = property(lambda self: self.front.rewards)
+    weights = property(lambda self: self.front.weights)
+    best_tour = property(lambda self: self.front.tour)
+    best_reward = property(lambda self: float(self.rewards[-1]) if self.rewards.size else -np.inf)
 
     def hv(self):
         return fr._hv(self.rewards, self.weights, self.capacity)
@@ -331,6 +319,6 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
         if callback is not None and callback(rec) is False:
             break
 
-    best_tour, best_plan = _best_solution(inst, archive.best_tour, cfg.both_orientations)
-    return RunResult(records=records, best_reward=archive.best_reward, best_tour=best_tour,
-                     best_plan=best_plan, final_population=pop)
+    best = pwt_dp.dp_front(inst, archive.best_tour)
+    return RunResult(records=records, best_reward=archive.best_reward, best_tour=best.tour,
+                     best_plan=best.plan_items(-1), final_population=pop)

@@ -188,10 +188,13 @@ def dp_fronts(inst: Instance, tours) -> list:
             for t, lo, hi in zip(tours, [0] + ends[:-1], ends)]
 
 
-def merge_fronts(a: DpFront, b: DpFront) -> DpFront:
-    """Pareto merge of two fronts' points, keeping ``a``'s tour; carries no plans."""
-    rewards = np.concatenate((a.rewards, b.rewards))
-    weights = np.concatenate((a.weights, b.weights))
+def merge_fronts(*fronts: DpFront) -> DpFront:
+    """Pareto merge of the fronts' points, with the tour of the earliest front
+    that holds its top point (the best reward, at the least weight); no plans."""
+    rewards = np.concatenate([f.rewards for f in fronts])
+    weights = np.concatenate([f.weights for f in fronts])
     keep = staircase(rewards, weights)
-    return DpFront(tour=a.tour.copy(), rewards=rewards[keep], weights=weights[keep],
-                   plans_packed=None, m=a.m, capacity=a.capacity)
+    ends = np.cumsum([f.rewards.size for f in fronts])
+    top = fronts[int(np.searchsorted(ends, keep[-1], side="right"))]
+    return DpFront(tour=top.tour.copy(), rewards=rewards[keep], weights=weights[keep],
+                   plans_packed=None, m=top.m, capacity=top.capacity)

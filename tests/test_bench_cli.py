@@ -746,6 +746,41 @@ def test_cli_run_rejects_non_integer_workers(tiny4_file, tmp_path, monkeypatch, 
     assert err == ["error: TTPSOLVE_WORKERS must be an integer, not 'two'"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_run_rejects_workers_below_one(tiny4_file, tmp_path, monkeypatch, capsys, workers):
+    """One error line and exit 2, before any file is written."""
+    monkeypatch.setenv("TTPSOLVE_WORKERS", workers)
+    out = tmp_path / "o"
+    assert main(["run", "--instance", str(tiny4_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: TTPSOLVE_WORKERS must be at least 1, not {workers!r}"]
+    assert not out.exists()
+
+
+def test_cli_run_interrupted_rerun_leaves_no_earlier_files(tiny4_file, tmp_path, monkeypatch):
+    """A rerun into a used dir removes the earlier run's summary.json and the
+    record files it is about to write before its first repetition, so a
+    rerun cut short leaves only its own record files and no summary."""
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    out = tmp_path / "o"
+    args = ["run", "--instance", str(tiny4_file), "--out", str(out), "--reps", "3",
+            "--mu", "4", "--generations", "2", "--seeding-generations", "3"]
+    assert main([*args, "--selection", "fps", "--seed", "1"]) == 0
+    calls = []
+
+    def interrupted_run_ibea(inst, cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run_ibea(inst, cfg)
+
+    monkeypatch.setattr(bench_cli, "run_ibea", interrupted_run_ibea)
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--selection", "uar", "--seed", "50"])
+    assert sorted(p.name for p in out.iterdir()) == ["rep_000.jsonl"]
+    assert main(["summarize", "--records", str(out), "--baseline", "fps-lhv"]) == 2
+
+
 def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):
     inst_file = tmp_path / "heavy.ttp"
     inst_file.write_text(TINY4_TEXT.replace("\n1 20 2 2\n", "\n1 20 99999999999999999999 2\n"))

@@ -242,6 +242,16 @@ def _fresh_front(inst, tour, both):
     return front
 
 
+def _top_orientation(inst, tour, both):
+    """``tour``, or with ``both`` its reversal where the reversal's top point
+    is better: a higher reward, or an equal one at less weight."""
+    if both:
+        fwd, rev = dp_front(inst, tour), dp_front(inst, reverse_tour(tour))
+        if (rev.rewards[-1], -rev.weights[-1]) > (fwd.rewards[-1], -fwd.weights[-1]):
+            return rev.tour
+    return tour
+
+
 def _assert_same_points(got, want):
     assert got.rewards.tobytes() == want.rewards.tobytes()
     assert np.array_equal(got.weights, want.weights)
@@ -258,7 +268,7 @@ def test_final_population_fronts_values_and_surface(tiny4, indicator, both):
                                         indicator=indicator, both_orientations=both))
         pop = res.final_population
         for ind in pop:
-            assert ind.front.tour.tolist() == ind.tour.tolist()
+            assert ind.front.tour.tolist() == _top_orientation(inst, ind.tour, both).tolist()
             _assert_same_points(ind.front, _fresh_front(inst, ind.tour, both))
         surf = fronts.surface([ind.front for ind in pop])
         assert [ind.value for ind in pop] == fronts.all_indicators(surf, indicator).tolist()
@@ -304,6 +314,22 @@ def test_best_plan_reproduces_best_reward(tiny4, both):
         reward, weight = evaluate(inst, res.best_tour, taken)
         assert weight <= inst.capacity
         assert reward == pytest.approx(res.best_reward, rel=REWARD_RTOL)
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_run_ibea_rebuilds_the_best_plan_with_one_dp_front(tiny4, monkeypatch, both):
+    """The loop's fronts come from ``dp_fronts``; after it, one ``dp_front``
+    on ``best_tour`` rebuilds the plan, as that tour names the orientation."""
+    calls, dp_front_ = [], pwt_dp.dp_front
+
+    def recording_dp_front(inst, t):
+        calls.append(t.tolist())
+        return dp_front_(inst, t)
+
+    monkeypatch.setattr(pwt_dp, "dp_front", recording_dp_front)
+    res = run_ibea(tiny4, IbeaConfig(mu=4, generations=6, seed=3, seeding_generations=10,
+                                     both_orientations=both))
+    assert calls == [res.best_tour.tolist()]
 
 
 def test_callback_stops_early(tiny4):

@@ -1,6 +1,7 @@
 """The vectorised front algebra equals the loop-based reference bit for bit."""
 
 import dataclasses
+import functools
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttpsolve import evolve, fronts
-from ttpsolve.pwt_dp import REWARD_EQ_ATOL, DpFront, staircase
+from ttpsolve.pwt_dp import REWARD_EQ_ATOL, DpFront, merge_fronts, staircase
 
 import reference_fronts as ref
 
@@ -227,9 +228,11 @@ def test_trimming_rescores_only_after_contributor_removals(case):
 
 @settings(max_examples=200, deadline=None)
 @given(populations())
+@example(SINGLE)
 def test_archive_matches_reference(pop):
     """Fronts added one per batch match the reference after each add; the
-    same fronts in one batch, or in two, match it after the last add."""
+    same fronts in one batch, or in two, match it after the last add (with
+    one front, the first of two batches is empty)."""
     archive, want = evolve._Archive(pop[0].capacity), ref.ReferenceArchive()
     for f in pop:
         archive.add([f])
@@ -256,3 +259,54 @@ def test_archive_best_tour_is_first_of_tied_tops():
     archive.add([low, first, second])
     assert archive.best_reward == 7.5
     assert archive.best_tour.tolist() == [1, 3, 2]
+
+
+def tour_front(rewards, weights, tour):
+    return dataclasses.replace(make_front(rewards, weights, 4), tour=np.array(tour))
+
+
+def test_archive_best_tour_is_the_lighter_of_reward_tied_tops():
+    """Of two fronts tied on the top reward at different weights, the lighter
+    top is the archive's top point, and its tour is ``best_tour``."""
+    heavy = tour_front([0.0, 7.5], [0, 3], [1, 3, 2, 4])
+    light = tour_front([1.0, 7.5], [0, 2], [1, 2, 3, 4])
+    for batches in ([[heavy, light]], [[heavy], [light]]):
+        archive = evolve._Archive(4)
+        for batch in batches:
+            archive.add(batch)
+        assert (archive.best_reward, archive.weights[-1]) == (7.5, 2)
+        assert archive.best_tour.tolist() == [1, 2, 3, 4]
+
+
+def test_archive_keeps_its_tour_on_an_exact_tie_with_a_later_front():
+    heavy = tour_front([0.0, 7.5], [0, 3], [1, 3, 2, 4])
+    light = tour_front([1.0, 7.5], [0, 2], [1, 2, 3, 4])
+    tied = tour_front([2.0, 7.5], [0, 2], [1, 2, 4, 3])
+    archive = evolve._Archive(4)
+    for front in (heavy, light, tied):
+        archive.add([front])
+    assert archive.best_tour.tolist() == [1, 2, 3, 4]
+
+
+# the top point (6, 1) is the only point of the second front; the third
+# front's (6, 2) and (1, 0) are dominated
+SINGLE_POINT_TOP = [make_front([0.0, 5.0], [0, 3], 4), make_front([6.0], [1], 4),
+                    make_front([1.0, 6.0], [0, 2], 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(populations())
+@example(SINGLE_POINT_TOP)
+@example(HEAD_REMOVED)
+@example(SHARED_MIN)
+def test_merge_fronts_is_the_pairwise_fold(pop):
+    """One merge of many fronts keeps the points and the tour of merging them
+    two at a time; the tour is that of the earliest front holding the top point."""
+    pop = [dataclasses.replace(f, tour=np.array([i])) for i, f in enumerate(pop)]
+    merged, folded = merge_fronts(*pop), functools.reduce(merge_fronts, pop)
+    assert_same_array(merged.rewards, folded.rewards)
+    assert_same_array(merged.weights, folded.weights)
+    top = merged.rewards[-1], merged.weights[-1]
+    holder = next(i for i, f in enumerate(pop)
+                  if ((f.rewards == top[0]) & (f.weights == top[1])).any())
+    assert merged.tour.tolist() == folded.tour.tolist() == [holder]
