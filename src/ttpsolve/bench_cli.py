@@ -140,6 +140,11 @@ def read_records(path):
     return records
 
 
+def _rep_file(run_dir, i):
+    """The record file of repetition ``i`` in ``run_dir``."""
+    return Path(run_dir) / f"rep_{i:03d}.jsonl"
+
+
 def _rep_files(run_dir):
     """The record files of one run dir, in repetition order.
 
@@ -153,14 +158,12 @@ def _rep_files(run_dir):
     run_dir = Path(run_dir)
     if not (run_dir / "summary.json").exists():
         found = list(itertools.takewhile(
-            Path.is_file, (run_dir / f"rep_{i:03d}.jsonl" for i in itertools.count())))
+            Path.is_file, (_rep_file(run_dir, i) for i in itertools.count())))
         if not found:
-            raise ValueError(f"{run_dir}: no rep_000.jsonl record file")
+            raise ValueError(f"{run_dir}: no {_rep_file(run_dir, 0).name} record file")
         return found
     reps = len(read_summary(run_dir)["repetitions"])
-    if not reps:
-        raise ValueError(f"{run_dir}: summary.json lists no repetitions")
-    paths = [run_dir / f"rep_{i:03d}.jsonl" for i in range(reps)]
+    paths = [_rep_file(run_dir, i) for i in range(reps)]
     for path in paths:
         if not path.is_file():
             raise ValueError(f"{run_dir}: {path.name} is missing "
@@ -320,17 +323,17 @@ def _workers(reps):
 
 
 def cli_run(args):
-    with open(args.instance) as fh:
-        text = fh.read()
+    text = Path(args.instance).read_text()
     inst = parse_instance(text)
     cfg, reps = _config_from_args(args)
     workers = _workers(reps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / f"rep_{i:03d}.jsonl" for i in range(reps)]
-    # drop an earlier run's summary.json and the record files this run writes
-    # first, so a rerun cut short leaves no summary and none of their files
-    for old in [out_dir / "summary.json", *paths]:
+    paths = [_rep_file(out_dir, i) for i in range(reps)]
+    # drop an earlier run's summary.json, the record files this run writes
+    # and the one after them first: a rerun cut short then leaves no summary,
+    # and the record files read without one end at this run's last
+    for old in [out_dir / "summary.json", *paths, _rep_file(out_dir, reps)]:
         old.unlink(missing_ok=True)
 
     cfg_dict = dataclasses.asdict(cfg)
@@ -354,14 +357,18 @@ def cli_run(args):
     rewards = [r["best_reward"] for r in repetitions]
     summary["best_reward_mean"] = float(np.mean(rewards))
     summary["best_reward_max"] = float(np.max(rewards))
-    with open(out_dir / "summary.json", "w") as fh:
+    # written by rename, so a summary.json is always whole and marks a complete run
+    tmp = out_dir / "summary.json.tmp"
+    with open(tmp, "w") as fh:
         json.dump(summary, fh, indent=2)
+    os.replace(tmp, out_dir / "summary.json")
     print(f"wrote {reps} record file(s) and summary.json to {out_dir}")
     return 0
 
 
 def read_summary(run_dir):
-    """``run_dir/summary.json``, checked for what summarize and plotdata read."""
+    """``run_dir/summary.json``, checked for what summarize and plotdata read,
+    and to list at least one repetition."""
     path = Path(run_dir) / "summary.json"
     meta = read_json(path)
     if not isinstance(meta, dict):
@@ -375,6 +382,8 @@ def read_summary(run_dir):
         if not _finite_number(rep["best_reward"]):
             raise ValueError(f"{path}: repetition {i}: 'best_reward' {rep['best_reward']!r} "
                              "is not a finite number")
+    if not meta["repetitions"]:
+        raise ValueError(f"{path.parent}: summary.json lists no repetitions")
     return meta
 
 
@@ -391,6 +400,18 @@ def read_labelled(run_dirs):
     return labelled
 
 
+def _write_out(text, out):
+    """A command's result: ``text`` and a newline into the file ``out``, or onto stdout."""
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+def _read_instance(path):
+    return parse_instance(Path(path).read_text())
+
+
 def cli_summarize(args):
     record_sets = {}
     instances = set()
@@ -399,12 +420,7 @@ def cli_summarize(args):
         instances.add(meta["instance"])
     if len(instances) > 1:
         raise ValueError(f"mismatched instance sets: {sorted(instances)}")
-    table = summarize(record_sets, args.baseline)
-    out = json.dumps(table, indent=2)
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
+    _write_out(json.dumps(summarize(record_sets, args.baseline), indent=2), args.out)
     return 0
 
 
@@ -424,8 +440,7 @@ def cli_plotdata(args):
     if args.mode == "fronts":
         if args.instance is None or args.tours is None:
             raise ValueError("plotdata --mode fronts needs --instance and --tours")
-        with open(args.instance) as fh:
-            inst = parse_instance(fh.read())
+        inst = _read_instance(args.instance)
         doc = read_json(args.tours)
         if not isinstance(doc, list):
             raise ValueError(f"{args.tours}: expected a JSON list of tours")
@@ -446,9 +461,7 @@ def cli_plotdata(args):
                              out_dir / "convergence.csv")
     else:  # boxplot
         rewards = {}
-        for label, (run_dir, meta) in read_labelled(args.records).items():
-            if not meta["repetitions"]:
-                raise ValueError(f"{run_dir}: summary.json lists no repetitions")
+        for label, (_, meta) in read_labelled(args.records).items():
             rewards[label] = [r["best_reward"] for r in meta["repetitions"]]
         emit_boxplot_csv(rewards, out_dir / "boxplot.csv")
     print(f"plot data written to {out_dir}")
@@ -456,32 +469,21 @@ def cli_plotdata(args):
 
 
 def cli_dpfront(args):
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     t = _instance_tour(inst, [int(x) for x in args.tour.split(",")])
-    front = pwt_dp.dp_front(inst, t)
-    line = front.to_json()
-    if args.out:
-        Path(args.out).write_text(line + "\n")
-    else:
-        print(line)
+    _write_out(pwt_dp.dp_front(inst, t).to_json(), args.out)
     return 0
 
 
 def cli_seed_tours(args):
-    with open(args.instance) as fh:
-        inst = parse_instance(fh.read())
+    inst = _read_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     result = tours.inver_over(inst, args.pop, args.generations, args.p_random, rng)
     payload = {
         "tours": [t.tolist() for t in result],
         "lengths": [tours.tour_length(inst, t) for t in result],
     }
-    out = json.dumps(payload)
-    if args.out:
-        Path(args.out).write_text(out + "\n")
-    else:
-        print(out)
+    _write_out(json.dumps(payload), args.out)
     print(f"best length: {min(payload['lengths'])}", file=sys.stderr)
     return 0
 

@@ -31,7 +31,8 @@ class Item:
     node: int  # 1-based city index, never 1 (the depot holds no items)
 
 
-@dataclass(frozen=True)
+# eq=False: equality is identity, and an Instance hashes, although it holds arrays
+@dataclass(frozen=True, eq=False)
 class Instance:
     name: str
     n: int
@@ -43,9 +44,9 @@ class Instance:
     vmax: float
     rent: float
     nu: float
-    item_profit: np.ndarray = field(default=None, compare=False, repr=False)
-    item_weight: np.ndarray = field(default=None, compare=False, repr=False)
-    item_node: np.ndarray = field(default=None, compare=False, repr=False)
+    item_profit: np.ndarray = field(default=None, repr=False)
+    item_weight: np.ndarray = field(default=None, repr=False)
+    item_node: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "item_profit",
@@ -131,31 +132,9 @@ def parse_instance(text: str) -> Instance:
         items_at = next(i for i, ln in enumerate(body) if ln.startswith("ITEMS SECTION"))
     except StopIteration:
         raise InstanceFormatError("missing ITEMS SECTION") from None
-    coord_lines = body[1:items_at]
-    if len(coord_lines) != n:
-        raise InstanceFormatError(
-            f"dimension mismatch: declared {n} cities, found {len(coord_lines)}")
-    coords = np.empty((n, 2), np.float64)
-    for expect, ln in enumerate(coord_lines, start=1):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise InstanceFormatError(f"malformed coordinate line: {ln!r}")
-        if int(parts[0]) != expect:
-            raise InstanceFormatError(f"coordinate index out of order: {ln!r}")
-        coords[expect - 1] = (float(parts[1]), float(parts[2]))
-
-    item_lines = body[items_at + 1:]
-    if len(item_lines) != m:
-        raise InstanceFormatError(
-            f"dimension mismatch: declared {m} items, found {len(item_lines)}")
-    items = []
-    for expect, ln in enumerate(item_lines, start=1):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise InstanceFormatError(f"malformed item line: {ln!r}")
-        if int(parts[0]) != expect:
-            raise InstanceFormatError(f"item index out of order: {ln!r}")
-        items.append(Item(profit=int(parts[1]), weight=int(parts[2]), node=int(parts[3])))
+    coords = np.array(_numbered_rows(body[1:items_at], n, "cities", "coordinate", float, 2),
+                      np.float64).reshape(n, 2)
+    items = [Item(*row) for row in _numbered_rows(body[items_at + 1:], m, "items", "item", int, 3)]
 
     # item nodes and a capacity beyond int64 must be caught before
     # make_instance packs them and divides by the capacity
@@ -167,6 +146,23 @@ def parse_instance(text: str) -> Instance:
     if problems:
         raise InstanceFormatError(problems[0])
     return inst
+
+
+def _numbered_rows(lines, count, plural, kind, number, fields):
+    """The values of ``lines``, a section of ``count`` lines, each an index
+    and then ``fields`` values read with ``number``, indexed 1, 2, ... in order."""
+    if len(lines) != count:
+        raise InstanceFormatError(
+            f"dimension mismatch: declared {count} {plural}, found {len(lines)}")
+    rows = []
+    for expect, ln in enumerate(lines, start=1):
+        parts = ln.split()
+        if len(parts) != fields + 1:
+            raise InstanceFormatError(f"malformed {kind} line: {ln!r}")
+        if int(parts[0]) != expect:
+            raise InstanceFormatError(f"{kind} index out of order: {ln!r}")
+        rows.append(list(map(number, parts[1:])))
+    return rows
 
 
 def _range_violations(coords, items, n, capacity) -> list:

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -779,6 +780,71 @@ def test_cli_run_interrupted_rerun_leaves_no_earlier_files(tiny4_file, tmp_path,
         main([*args, "--selection", "uar", "--seed", "50"])
     assert sorted(p.name for p in out.iterdir()) == ["rep_000.jsonl"]
     assert main(["summarize", "--records", str(out), "--baseline", "fps-lhv"]) == 2
+
+
+def test_cli_run_stopped_in_the_summary_write_leaves_no_summary(tiny4_file, tmp_path,
+                                                                monkeypatch):
+    """summary.json is written by rename: a run stopped while writing it
+    leaves none, and its record files read as an incomplete run."""
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+
+    def interrupted_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted_dump)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        _run_cli(tiny4_file, out)
+    monkeypatch.undo()
+    assert not (out / "summary.json").exists()
+    assert final_metrics(out) == [
+        {"final_hypervolume": r[-1]["population_hv"], "best_reward": r[-1]["best_reward"],
+         "archive_hv": r[-1]["archive_hv"]}
+        for r in (read_records(out / "rep_000.jsonl"), read_records(out / "rep_001.jsonl"))]
+
+
+def test_rerun_stopped_before_its_summary_reads_only_its_repetitions(tiny4_file, tmp_path,
+                                                                     monkeypatch):
+    """A rerun removes the record file past its last repetition, so one
+    stopped before its summary does not read an earlier run's further files."""
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+    out = tmp_path / "out"
+    args = ["run", "--instance", str(tiny4_file), "--out", str(out), "--mu", "4",
+            "--generations", "3", "--seeding-generations", "5", "--seed", "3"]
+    assert main([*args, "--selection", "fps", "--reps", "4"]) == 0
+    one_rep = bench_cli._one_rep
+
+    def stopped_after_last_rep(path, *rest):
+        entry = one_rep(path, *rest)
+        if path.name == "rep_001.jsonl":
+            raise KeyboardInterrupt
+        return entry
+
+    monkeypatch.setattr(bench_cli, "_one_rep", stopped_after_last_rep)
+    with pytest.raises(KeyboardInterrupt):
+        main([*args, "--selection", "uar", "--reps", "2"])
+    assert (out / "rep_003.jsonl").exists() and not (out / "summary.json").exists()
+    assert [m["best_reward"] for m in final_metrics(out)] == \
+        [read_records(out / f"rep_00{i}.jsonl")[-1]["best_reward"] for i in range(2)]
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--mode", "convergence", "--records", str(out),
+                 "--out", str(plots)]) == 0
+    with open(plots / "convergence.csv") as fh:
+        assert {row["rep"] for row in csv.DictReader(fh)} == {"0", "1"}
+
+
+def test_readme_cli_commands_parse():
+    """Every ``ttpsolve`` command in README's CLI block, its backslash
+    continuations joined, parses: a renamed or removed flag fails here."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(ln)[1:] for ln in block.replace("\\\n", " ").splitlines()
+                if ln.startswith("ttpsolve ")]
+    assert len(commands) == 8
+    parser = bench_cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func.__name__ == "cli_" + argv[0].replace("-", "_")
 
 
 def test_cli_dpfront_item_weight_beyond_int64(tmp_path, capsys):

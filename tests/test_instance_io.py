@@ -66,6 +66,10 @@ def test_parse_duplicate_header():
                  "missing NODE_COORD_SECTION", id="no-coordinates"),
     pytest.param(TINY4_TEXT[:TINY4_TEXT.index("ITEMS SECTION")],
                  "missing ITEMS SECTION", id="no-items"),
+    pytest.param(TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION: 5"),
+                 "dimension mismatch: declared 5 cities, found 4", id="city-count"),
+    pytest.param(TINY4_TEXT.replace("NUMBER OF ITEMS: 3", "NUMBER OF ITEMS: 2"),
+                 "dimension mismatch: declared 2 items, found 3", id="item-count"),
     pytest.param(TINY4_TEXT.replace("\n2 0 3\n", "\n3 0 3\n"),
                  "coordinate index out of order: '3 0 3'", id="coordinate-index"),
     pytest.param(TINY4_TEXT.replace("\n2 30 3 3\n", "\n2 30 3\n"),
@@ -76,6 +80,14 @@ def test_parse_duplicate_header():
 def test_parse_rejects_broken_layout(text, match):
     with pytest.raises(InstanceFormatError, match=re.escape(match)):
         parse_instance(text)
+
+
+def test_instance_equality_is_identity_and_it_hashes():
+    a, b = parse_instance(TINY4_TEXT), parse_instance(TINY4_TEXT)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert {a: "a", b: "b"}[a] == "a" and len({a, b, a}) == 2
 
 
 def test_distance_examples(tiny4):
