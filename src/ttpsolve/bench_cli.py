@@ -359,9 +359,13 @@ def cli_run(args):
     summary["best_reward_max"] = float(np.max(rewards))
     # written by rename, so a summary.json is always whole and marks a complete run
     tmp = out_dir / "summary.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    os.replace(tmp, out_dir / "summary.json")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(summary, fh, indent=2)
+        os.replace(tmp, out_dir / "summary.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"wrote {reps} record file(s) and summary.json to {out_dir}")
     return 0
 
@@ -435,8 +439,7 @@ def _instance_tour(inst, cities):
 
 
 def cli_plotdata(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Read and check every input, then make ``--out`` and write ``<mode>.csv`` there."""
     if args.mode == "fronts":
         if args.instance is None or args.tours is None:
             raise ValueError("plotdata --mode fronts needs --instance and --tours")
@@ -450,20 +453,22 @@ def cli_plotdata(args):
             front_list.append(pwt_dp.dp_front(inst, t))
             if args.both_orientations:
                 front_list.append(pwt_dp.dp_front(inst, tours.reverse_tour(t)))
-        emit_front_csv(front_list, out_dir / "fronts.csv")
+        emit, data = emit_front_csv, front_list
     elif not args.records:
         raise ValueError(f"plotdata --mode {args.mode} needs --records")
     elif args.mode == "convergence":
         if len(args.records) > 1:
             raise ValueError("plotdata --mode convergence takes one --records dir, "
                              f"got {len(args.records)}")
-        emit_convergence_csv([read_records(p) for p in _rep_files(args.records[0])],
-                             out_dir / "convergence.csv")
+        emit, data = emit_convergence_csv, [read_records(p) for p in _rep_files(args.records[0])]
     else:  # boxplot
         rewards = {}
         for label, (_, meta) in read_labelled(args.records).items():
             rewards[label] = [r["best_reward"] for r in meta["repetitions"]]
-        emit_boxplot_csv(rewards, out_dir / "boxplot.csv")
+        emit, data = emit_boxplot_csv, rewards
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit(data, out_dir / f"{args.mode}.csv")
     print(f"plot data written to {out_dir}")
     return 0
 

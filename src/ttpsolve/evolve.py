@@ -25,6 +25,10 @@ from .instance_io import Instance
 SELECTION_SCHEMES = ("exp", "iq", "har", "fps", "ts", "as_bst", "as_ext", "uar")
 # what a field's annotated type admits, where not itself; no type but bool admits a bool
 _ADMITS = {int: numbers.Integral, float: numbers.Real}
+# IbeaConfig's bounds (field, low, high) in the order checked; high 1 marks a probability
+_BOUNDS = (("mu", 2, np.inf), ("generations", 0, np.inf), ("tournament_size", 1, np.inf),
+           ("lam", 1, np.inf), ("crossover_prob", 0, 1), ("mutation_split", 0, 1),
+           ("seeding_p_random", 0, 1), ("seeding_generations", 0, np.inf))
 
 
 @dataclass
@@ -52,23 +56,12 @@ class IbeaConfig:
             choices = f.metadata.get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}, not {value!r}")
-        if self.mu < 2:
-            raise ValueError("mu must be >= 2")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
         if self.lam is None:
             self.lam = self.mu
-        if self.lam < 1:
-            raise ValueError("lambda must be >= 1")
-        for p in (self.crossover_prob, self.mutation_split):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-        if not 0.0 <= self.seeding_p_random <= 1.0:
-            raise ValueError("seeding_p_random must lie in [0, 1]")
-        if self.seeding_generations < 0:
-            raise ValueError("seeding_generations must be >= 0")
+        for name, low, high in _BOUNDS:
+            if not low <= getattr(self, name) <= high:   # refuses NaN too
+                rule = "must lie in [0, 1]" if high == 1 else f"must be >= {low}"
+                raise ValueError(f"{'lambda' if name == 'lam' else name} {rule}")
 
 
 @dataclass
@@ -167,12 +160,6 @@ def survivor_select(pop, mu, rng, kind, pool):
     return pop
 
 
-def rank_order(pop):
-    """Indices ordered best-first (descending indicator, stable)."""
-    values = np.array([ind.value for ind in pop])
-    return np.argsort(-values, kind="stable")
-
-
 def selection_probabilities(scheme, mu):
     """Closed-form per-rank probabilities of the rank-based schemes."""
     ranks = np.arange(1, mu + 1, dtype=np.float64)
@@ -197,8 +184,8 @@ def selection_probabilities(scheme, mu):
 def parent_select(pop, scheme, lam, rng, tournament_size=2):
     """Draw ``lam`` parents (with replacement) under the given scheme."""
     mu = len(pop)
+    values = np.array([ind.value for ind in pop])
     if scheme == "fps":
-        values = np.array([ind.value for ind in pop])
         total = values.sum()
         if total <= 0:
             probs = np.full(mu, 1.0 / mu)
@@ -208,35 +195,28 @@ def parent_select(pop, scheme, lam, rng, tournament_size=2):
         return [pop[i] for i in idx]
     if scheme == "ts":
         out = []
-        values = np.array([ind.value for ind in pop])
         for _ in range(lam):
             contenders = rng.integers(0, mu, size=tournament_size)
             cv = values[contenders]
             best = contenders[(cv == cv.max()).nonzero()[0]]
             out.append(pop[int(best[rng.integers(0, best.size)])])
         return out
-    ranked = rank_order(pop)
-    probs = selection_probabilities(scheme, mu)
-    draws = rng.choice(mu, size=lam, p=probs)
+    ranked = np.argsort(-values, kind="stable")     # best first
+    draws = rng.choice(mu, size=lam, p=selection_probabilities(scheme, mu))
     return [pop[int(ranked[d])] for d in draws]
 
 
 def mate(parents, cfg, rng):
     """Consume parents in consecutive pairs; each pair yields two children.
 
-    A child is the order-crossover of its pair with probability
-    ``crossover_prob``, otherwise a copy of its first parent; every child is
+    Child ``k`` takes parent ``k`` and its partner ``k ^ 1`` (parent 0 for an
+    odd last parent): their order-crossover with probability
+    ``crossover_prob``, otherwise a copy of parent ``k``; every child is
     then mutated exactly once (2OPT or JUMP, positions uniform at random).
     """
-    lam = len(parents)
     children = []
-    pairs = []
-    for i in range(0, lam - 1, 2):
-        a, b = parents[i], parents[i + 1]
-        pairs.extend([(a, b), (b, a)])
-    if lam % 2 == 1:
-        pairs.append((parents[-1], parents[0]))
-    for a, b in pairs[:lam]:
+    for k, a in enumerate(parents):
+        b = parents[k ^ 1 if k ^ 1 < len(parents) else 0]
         if rng.random() < cfg.crossover_prob:
             child = tours.crossover(a.tour, b.tour, rng)
         else:

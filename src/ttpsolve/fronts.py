@@ -58,8 +58,8 @@ class SurfacePool:
     changes no later comparison: the surface points stay as they are and
     only the front's membership row goes.  Only when the front holds a head
     is the scan rerun, on the sorted order masked to the live fronts; since
-    the scan key ends in the concatenation index, that is the scan order of
-    the smaller concatenation.
+    the sort is stable (tied points stay in concatenation order), that is
+    the scan order of the smaller concatenation.
 
     Every front must be a strict staircase (as ``DpFront`` guarantees), so a
     surface point matches at most one point of each front: the one with the
@@ -133,9 +133,7 @@ def all_indicators(s: Surface, kind: str) -> np.ndarray:
     """
     if kind not in INDICATOR_KINDS:
         raise ValueError(f"unknown indicator kind: {kind}")
-    if kind == LSC:
-        return s.membership.sum(axis=1) / s.rewards.size
-    total = _hv(s.rewards, s.weights, s.capacity)
+    total = 0.0 if kind == LSC else _hv(s.rewards, s.weights, s.capacity)
     if total == 0.0:
         return s.membership.sum(axis=1) / s.rewards.size
     # a front that owns no surface point alone loses nothing on removal

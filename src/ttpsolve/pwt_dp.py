@@ -75,8 +75,8 @@ def staircase(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def staircase_order(rewards: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The order :func:`staircase` scans points in: weight ascending, then
-    reward descending, then index ascending."""
-    return np.lexsort((np.arange(rewards.size), -rewards, weights))
+    reward descending; the sort is stable, so tied points keep index order."""
+    return np.lexsort((-rewards, weights))
 
 
 def evaluate(inst: Instance, t: np.ndarray, taken: np.ndarray):

@@ -709,6 +709,22 @@ def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle
     assert not list(out.glob("*.csv"))
 
 
+# the plotdata cases of test_cli_bad_input_one_error_line, read from its own list
+_PLOTDATA_BAD_INPUT = [p for m in test_cli_bad_input_one_error_line.pytestmark
+                       if m.name == "parametrize" for p in m.args[1]
+                       if p.values[0][0] == "plotdata"]
+
+
+@pytest.mark.parametrize("argv, needle", _PLOTDATA_BAD_INPUT)
+def test_cli_plotdata_refused_leaves_no_out(tiny4_file, tmp_path, argv, needle):
+    """A refused plotdata exits before it makes its ``--out`` dir."""
+    _write_cli_inputs(tmp_path)
+    argv = [a.format(tmp=tmp_path, tiny4=tiny4_file) for a in argv]
+    out = tmp_path / "plots" / "made_anyway"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not (tmp_path / "plots").exists()
+
+
 @pytest.mark.parametrize("workers, reps, pools", [("64", 2, [2]), ("2", 3, [2]), ("64", 1, []),
                                                   ("1", 2, [])])
 def test_cli_run_caps_workers_at_reps(tiny4_file, tmp_path, monkeypatch, workers, reps, pools):
@@ -802,6 +818,27 @@ def test_cli_run_stopped_in_the_summary_write_leaves_no_summary(tiny4_file, tmp_
         {"final_hypervolume": r[-1]["population_hv"], "best_reward": r[-1]["best_reward"],
          "archive_hv": r[-1]["archive_hv"]}
         for r in (read_records(out / "rep_000.jsonl"), read_records(out / "rep_001.jsonl"))]
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, OSError])
+def test_cli_run_stopped_in_the_summary_write_leaves_no_temporary_file(tiny4_file, tmp_path,
+                                                                       monkeypatch, stop):
+    """A summary write that raises removes ``summary.json.tmp`` and re-raises."""
+    monkeypatch.delenv("TTPSOLVE_WORKERS", raising=False)
+
+    def interrupted_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise stop
+
+    monkeypatch.setattr(json, "dump", interrupted_dump)
+    out = tmp_path / "out"
+    if stop is OSError:
+        assert _run_cli(tiny4_file, out) == 2
+    else:
+        with pytest.raises(stop):
+            _run_cli(tiny4_file, out)
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.iterdir()) == ["rep_000.jsonl", "rep_001.jsonl"]
 
 
 def test_rerun_stopped_before_its_summary_reads_only_its_repetitions(tiny4_file, tmp_path,

@@ -200,6 +200,45 @@ def test_mate_identical_parents_crossover_identity(tiny4):
         assert is_valid_tour(child, 4)
 
 
+def _mate_with_pairs_list(parents, cfg, rng):
+    """Oracle: ``mate`` as a list of 2λ (first, second) parent pairs, cut to
+    λ; an odd last parent pairs with parent 0."""
+    lam = len(parents)
+    pairs = []
+    for i in range(0, lam - 1, 2):
+        a, b = parents[i], parents[i + 1]
+        pairs.extend([(a, b), (b, a)])
+    if lam % 2 == 1:
+        pairs.append((parents[-1], parents[0]))
+    children = []
+    for a, b in pairs[:lam]:
+        child = tours.crossover(a.tour, b.tour, rng) if rng.random() < cfg.crossover_prob \
+            else a.tour.copy()
+        if rng.random() < cfg.mutation_split:
+            i, j = sorted(tours.random_positions(rng, child.size))
+            child = tours.two_opt_mutate(child, i, j)
+        else:
+            child = tours.jump_mutate(child, *tours.random_positions(rng, child.size))
+        children.append(child)
+    return children
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5])
+def test_mate_pairs_each_child_with_its_partner(lam):
+    """Children come in pairs (a, b), (b, a); an odd last parent mates with
+    parent 0.  Every parent differs, so a wrong partner changes a child."""
+    cfg = IbeaConfig(mu=2, lam=lam, crossover_prob=1.0)
+    for seed in range(5):
+        shuffle = np.random.default_rng(1000 + seed)
+        parents = [SimpleNamespace(tour=make_tour([1, *(shuffle.permutation(11) + 2)]))
+                   for _ in range(lam)]
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = mate(parents, cfg, mine)
+        want = _mate_with_pairs_list(parents, cfg, theirs)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 def test_run_alpha_zero(tiny4):
     cfg = IbeaConfig(mu=4, generations=0, seed=1, seeding_generations=10)
     res = run_ibea(tiny4, cfg)
@@ -373,6 +412,43 @@ def test_config_validation():
     assert IbeaConfig(generations=0, tournament_size=1).tournament_size == 1
     with pytest.raises(ValueError, match="lambda must be >= 1"):
         IbeaConfig(lam=0)
+
+
+@pytest.mark.parametrize("field", ["crossover_prob", "mutation_split", "seeding_p_random"])
+def test_config_refuses_nan_probabilities(field):
+    with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+        IbeaConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["crossover_prob", "mutation_split"])
+def test_config_operator_probabilities_name_themselves(field):
+    with pytest.raises(ValueError, match=rf"^{field} must lie in \[0, 1\]$"):
+        IbeaConfig(**{field: 1.5})
+
+
+def test_config_reports_the_first_broken_bound():
+    """A config that breaks every bound names them one at a time, in order,
+    as each is mended: ``tournament_size=0, lam=0`` names tournament_size."""
+    config = dict(mu=1, generations=-1, tournament_size=0, lam=0, crossover_prob=2.0,
+                  mutation_split=-1.0, seeding_p_random=2.0, seeding_generations=-1)
+    mended = dict(mu=4, generations=0, tournament_size=1, lam=1, crossover_prob=0.5,
+                  mutation_split=0.5, seeding_p_random=0.5, seeding_generations=0)
+    messages = {
+        "mu": r"mu must be >= 2",
+        "generations": r"generations must be >= 0",
+        "tournament_size": r"tournament_size must be >= 1",
+        "lam": r"lambda must be >= 1",
+        "crossover_prob": r"(crossover_prob|probabilities) must lie in \[0, 1\]",
+        "mutation_split": r"(mutation_split|probabilities) must lie in \[0, 1\]",
+        "seeding_p_random": r"seeding_p_random must lie in \[0, 1\]",
+        "seeding_generations": r"seeding_generations must be >= 0",
+    }
+    for name, message in messages.items():
+        with pytest.raises(ValueError) as exc:
+            IbeaConfig(**config)
+        assert re.fullmatch(message, str(exc.value)), (name, str(exc.value))
+        config[name] = mended[name]
+    assert IbeaConfig(**config).lam == 1
 
 
 @pytest.mark.parametrize("field, value, needle", [
