@@ -21,7 +21,8 @@ neither side) and a verdict against the metric's bound in the change's
 - ``within bound``: the rest.
 
 Each side's failed ops over its attempted ops, summed over its runs, are
-printed after the rows.  Exits 1 if any run reports ``correct: false`` or
+printed after the rows, and then each checkout's code size: the line count
+of its ``src/ttpsolve/*.py``, in total and per module.  Exits 1 if any run reports ``correct: false`` or
 exits non-zero, if a pair's two episode-0 fingerprints differ, or if the
 change's failed share exceeds the parent's.  Nothing in either checkout is
 edited, apart from what ``perfbench/run.py`` itself writes to its ``out/``.
@@ -125,6 +126,20 @@ def format_shares(workload, shares):
         for side, (failed, attempted, share) in shares.items()])
 
 
+def code_size(checkout):
+    """``{module: lines}`` over ``checkout``'s ``src/ttpsolve/*.py``, by name;
+    a line is a newline, as ``wc -l`` counts it."""
+    return {p.stem: p.read_bytes().count(b"\n")
+            for p in sorted((checkout / "src" / "ttpsolve").glob("*.py"))}
+
+
+def format_sizes(sizes):
+    """One line: each side's total ``src/ttpsolve`` lines, then per module."""
+    return "  ".join(["code size"] + [
+        f"{side} {sum(lines.values())} ({', '.join(f'{m} {n}' for m, n in lines.items())})"
+        for side, lines in sizes.items()])
+
+
 def run_once(checkout, workload, seed, seconds):
     """One ``perfbench/run.py --trace 0`` run in ``checkout``."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -173,6 +188,7 @@ def main(argv=None):
     rows, faults = summarize(pairs, end_to_end)
     print(format_rows(args.workload, rows, units))
     print(format_shares(args.workload, failed_shares(pairs)))
+    print(format_sizes({side: code_size(path) for side, path in checkouts.items()}))
     for fault in faults:
         print(f"paired_bench: {fault}", file=sys.stderr)
     return 1 if faults else 0

@@ -354,9 +354,6 @@ def cli_run(args):
         "config": {**cfg_dict, "seed": cfg.seed, "reps": reps},
         "repetitions": repetitions,
     }
-    rewards = [r["best_reward"] for r in repetitions]
-    summary["best_reward_mean"] = float(np.mean(rewards))
-    summary["best_reward_max"] = float(np.max(rewards))
     # written by rename, so a summary.json is always whole and marks a complete run
     tmp = out_dir / "summary.json.tmp"
     try:

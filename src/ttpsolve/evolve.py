@@ -28,7 +28,7 @@ _ADMITS = {int: numbers.Integral, float: numbers.Real}
 # IbeaConfig's bounds (field, low, high) in the order checked; high 1 marks a probability
 _BOUNDS = (("mu", 2, np.inf), ("generations", 0, np.inf), ("tournament_size", 1, np.inf),
            ("lam", 1, np.inf), ("crossover_prob", 0, 1), ("mutation_split", 0, 1),
-           ("seeding_p_random", 0, 1), ("seeding_generations", 0, np.inf))
+           ("seeding_p_random", 0, 1), ("seeding_generations", 0, np.inf), ("seed", 0, np.inf))
 
 
 @dataclass

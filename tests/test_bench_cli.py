@@ -17,16 +17,16 @@ import yaml
 
 from ttpsolve import bench_cli
 from ttpsolve.bench_cli import (
-    box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
+    RECORD_KEYS, box_stats, emit_boxplot_csv, emit_convergence_csv, emit_front_csv,
     final_metrics, log_p_measure, main, read_records, summarize, welch_t_test, write_records,
 )
 from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, RunRecord, run_ibea
 from ttpsolve.fronts import INDICATOR_KINDS
 from ttpsolve.instance_io import parse_instance
 from ttpsolve.pwt_dp import REWARD_RTOL, dp_front, evaluate
-from ttpsolve.tours import make_tour
+from ttpsolve.tours import make_tour, reverse_tour
 
-from conftest import INSTANCES, TINY4_TEXT
+from conftest import INSTANCES, TINY4_TEXT, random_tour
 
 
 def test_welch_identical_samples():
@@ -136,6 +136,23 @@ def test_convergence_csv_empty(tmp_path):
     path = tmp_path / "c.csv"
     emit_convergence_csv([], path)
     assert path.read_text() == "rep,generation,population_hv,best_reward,archive_hv\n"
+
+
+def test_convergence_csv_columns_are_rep_and_the_record_keys(tmp_path):
+    """The header is ``rep`` and then :data:`RECORD_KEYS`; a row writes the
+    generation as read and every other key with ``FLOAT_FMT``."""
+    path = tmp_path / "c.csv"
+    records = [{"generation": 0, "population_hv": 1.0 / 3, "best_reward": -2.5,
+                "archive_hv": 4e12, "wall_ms": 9.0},
+               {"generation": 1.0, "population_hv": 7, "best_reward": 0.1,
+                "archive_hv": 123456789.123}]
+    emit_convergence_csv([records[:1], records], path)
+    assert path.read_text().splitlines() == [
+        ",".join(("rep",) + RECORD_KEYS),
+        "0,0,0.333333333,-2.5,4e+12",
+        "1,0,0.333333333,-2.5,4e+12",
+        "1,1.0,7,0.1,123456789",
+    ]
 
 
 def test_boxplot_csv(tmp_path):
@@ -337,6 +354,40 @@ def test_cli_plotdata_fronts(tiny4_file, tmp_path):
     assert rc == 0
     rows = list(csv.DictReader((plots / "fronts.csv").open()))
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("both", [False, True])
+@pytest.mark.parametrize("name, n_tours", [("tiny4", 3), ("eil51_n50_uncorr", 6)])
+def test_cli_plotdata_fronts_writes_each_tours_dp_front(tmp_path, name, n_tours, both):
+    """``plotdata --mode fronts`` writes the CSV that ``emit_front_csv``
+    writes from each tour's ``dp_front``; with ``--both-orientations`` each
+    tour's front is followed by its reversal's."""
+    inst_file = INSTANCES / f"{name}.ttp"
+    inst = parse_instance(inst_file.read_text())
+    rng = np.random.default_rng(6)
+    tour_list = [random_tour(rng, inst.n) for _ in range(n_tours)]
+    tours_file = tmp_path / "tours.json"
+    tours_file.write_text(json.dumps([t.tolist() for t in tour_list]))
+    want = []
+    for t in tour_list:
+        want.append(dp_front(inst, t))
+        if both:
+            want.append(dp_front(inst, reverse_tour(t)))
+    emit_front_csv(want, tmp_path / "want.csv")
+    plots = tmp_path / "plots"
+    assert main(["plotdata", "--mode", "fronts", "--instance", str(inst_file),
+                 "--tours", str(tours_file), "--out", str(plots),
+                 *(["--both-orientations"] if both else [])]) == 0
+    assert (plots / "fronts.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_cli_run_summary_keys(tiny4_file, tmp_path):
+    """``summary.json`` holds the instance, the label, the config and the
+    repetitions, and nothing else: every other figure comes from them."""
+    out = tmp_path / "out"
+    assert _run_cli(tiny4_file, out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert list(summary) == ["instance", "label", "config", "repetitions"]
 
 
 def test_cli_config_file(tiny4_file, tmp_path):
@@ -693,6 +744,8 @@ def _bad_input(number, argv, needle):
                "bare: no rep_000.jsonl record file"),
     _bad_input(55, ["summarize", "--records", "{tmp}/tiny4_run", "{tmp}/eil51_run", "--baseline",
                     "A"], "mismatched instance sets: ['eil51', 'tiny4']"),
+    _bad_input(56, ["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--seed", "-1"],
+               "seed must be >= 0"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)
@@ -772,6 +825,28 @@ def test_cli_run_rejects_workers_below_one(tiny4_file, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: TTPSOLVE_WORKERS must be at least 1, not {workers!r}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_run_refused_seed_keeps_the_earlier_run(tiny4_file, tmp_path, capsys, how):
+    """A negative seed is refused before the run dir is touched: the
+    earlier run's summary.json and record file keep their bytes."""
+    out = tmp_path / "o"
+    args = ["run", "--instance", str(tiny4_file), "--out", str(out),
+            "--mu", "4", "--generations", "2", "--seeding-generations", "3"]
+    assert main([*args, "--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["rep_000.jsonl", "summary.json"]
+    capsys.readouterr()
+    if how == "flag":
+        refused = [*args, "--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: -1\n")
+        refused = [*args, "--config", str(cfg)]
+    assert main(refused) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 def test_cli_run_interrupted_rerun_leaves_no_earlier_files(tiny4_file, tmp_path, monkeypatch):

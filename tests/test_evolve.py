@@ -1,13 +1,14 @@
 import dataclasses
 import re
 from types import SimpleNamespace
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from conftest import INSTANCES
 
-from ttpsolve import fronts, pwt_dp, tours
+from ttpsolve import evolve, fronts, pwt_dp, tours
 from ttpsolve.evolve import (
     SELECTION_SCHEMES, IbeaConfig, Individual, _FrontCache, compute_indicators, mate,
     parent_select, run_ibea, selection_probabilities, survivor_select,
@@ -412,6 +413,19 @@ def test_config_validation():
     assert IbeaConfig(generations=0, tournament_size=1).tournament_size == 1
     with pytest.raises(ValueError, match="lambda must be >= 1"):
         IbeaConfig(lam=0)
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        IbeaConfig(seed=-1)
+    assert IbeaConfig(seed=0).seed == 0
+
+
+def test_config_bounds_every_number_field():
+    """Every int or float field of ``IbeaConfig`` has a ``_BOUNDS`` row."""
+    numeric = {f.name for f in dataclasses.fields(IbeaConfig)
+               if {int, float} & set(get_args(f.type) or (f.type,))}
+    assert numeric == {name for name, _, _ in evolve._BOUNDS}
 
 
 @pytest.mark.parametrize("field", ["crossover_prob", "mutation_split", "seeding_p_random"])

@@ -94,3 +94,35 @@ def test_a_rising_failed_share_is_a_fault():
     assert "parent 1/400 (0.25%)" in line and "change 2/300 (0.67%)" in line
     pairs[6]["change"]["failed"] = 0
     assert paired_bench.summarize(pairs, END_TO_END)[1] == []
+
+
+def make_checkout(root, modules):
+    """A checkout whose ``src/ttpsolve`` holds ``modules`` (``{name: lines}``),
+    whose ``perfbench/run.py`` prints a correct run with fixed metrics, and
+    whose ``BENCHMARK.json`` is this repo's."""
+    pkg = root / "src" / "ttpsolve"
+    pkg.mkdir(parents=True)
+    for name, lines in modules.items():
+        (pkg / f"{name}.py").write_text("x = 1\n" * lines)
+    (pkg / "notes.txt").write_text("not a module\n")
+    (root / "perfbench").mkdir()
+    metrics = {spec["name"]: {"value": 1.0} for spec in END_TO_END}
+    (root / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'info': {'fingerprint': [1.0, 2.0]}}))\n"
+        f"print(json.dumps({{'correct': True, 'attempted': 4, 'failed': 0, "
+        f"'metrics': {metrics!r}}}))\n")
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return root
+
+
+def test_code_size_is_printed_per_checkout(tmp_path, capsys):
+    parent = make_checkout(tmp_path / "parent", {"b": 4, "__init__": 2, "a": 10})
+    change = make_checkout(tmp_path / "change", {"__init__": 2, "a": 7})
+    assert paired_bench.code_size(parent) == {"__init__": 2, "a": 10, "b": 4}
+    assert paired_bench.main(["--parent", str(parent), "--change", str(change),
+                              "--workload", "w", "--pairs", "1", "--seconds", "0.1",
+                              "--seed-base", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("code size  parent 16 (__init__ 2, a 10, b 4)"
+                         "  change 9 (__init__ 2, a 7)")
