@@ -114,10 +114,10 @@ def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
     ``dp_merge`` on that column bit for bit: the take rewards use the
     same expression in the same operand order, and the sort and pruning are
     the same within each segment.  Returns the flat successor columns
-    ``(w, b, seg)``, no back-links.  Rewards must be finite, and the sort
-    key ``seg * (cap + 1) + w`` must fit in int64, which ``dp_fronts``
-    ensures by splitting its batch, with ``cap = min(capacity, total item
-    weight)``.
+    ``(w, b, seg)``, no back-links.  Rewards must be finite, and ``n``
+    segments need ``n * (cap + 1) <= 2**63`` (``dp_fronts`` splits its batch
+    so): the sort key ``seg * cap + seg + w`` then stays in int64 at every
+    step, as ``(n - 1) * cap < n * (cap + 1)`` and the key is below that.
     """
     tw = old_w + item_w[seg]
     fit = tw <= cap
@@ -131,7 +131,7 @@ def dp_merge_segments(old_w, old_b, seg, item_w, item_p, rdist, vmax, nu, cap):
     s_all = np.concatenate((seg, t_seg))
     # weights never exceed cap, so the key keeps segments apart, and within
     # a segment both halves have strictly increasing weights
-    sel = _survivors(s_all * (cap + 1) + w_all, b_all, s_all)
+    sel = _survivors(s_all * cap + s_all + w_all, b_all, s_all)
     return w_all[sel], b_all[sel], s_all[sel]
 
 

@@ -236,14 +236,13 @@ def emit_front_csv(front_list, path):
 
 
 def emit_convergence_csv(rep_records, path):
+    """One row per record: ``rep``, then its :data:`RECORD_KEYS`."""
     with open(path, "w") as fh:
-        fh.write("rep,generation,population_hv,best_reward,archive_hv\n")
+        fh.write(",".join(("rep",) + RECORD_KEYS) + "\n")
         for rep, records in enumerate(rep_records):
             for rec in records:
-                fh.write(f"{rep},{rec['generation']},"
-                         f"{FLOAT_FMT % rec['population_hv']},"
-                         f"{FLOAT_FMT % rec['best_reward']},"
-                         f"{FLOAT_FMT % rec['archive_hv']}\n")
+                gen, *values = (rec[k] for k in RECORD_KEYS)
+                fh.write(",".join([str(rep), str(gen)] + [FLOAT_FMT % v for v in values]) + "\n")
 
 
 def emit_boxplot_csv(labelled_values, path):
@@ -282,14 +281,11 @@ def _config_from_args(args):
         if "reps" in loaded and (isinstance(reps, bool) or not isinstance(reps, int)):
             raise ValueError(f"{args.config}: reps must be int, not {reps!r}")
         fields.update(loaded)
-    for f in dataclasses.fields(IbeaConfig):
-        val = getattr(args, f.name, None)
+    for name in [f.name for f in dataclasses.fields(IbeaConfig)] + ["reps"]:
+        val = getattr(args, name, None)
         if val is not None:
-            fields[f.name] = val
-    reps = fields.pop("reps", None)
-    if getattr(args, "reps", None) is not None:
-        reps = args.reps
-    reps = 1 if reps is None else int(reps)
+            fields[name] = val
+    reps = fields.pop("reps", 1)
     if reps < 1:
         raise ValueError("reps must be >= 1")
     return IbeaConfig(**fields), reps
@@ -445,12 +441,9 @@ def cli_plotdata(args):
         if not isinstance(doc, list):
             raise ValueError(f"{args.tours}: expected a JSON list of tours")
         tour_list = [_instance_tour(inst, t) for t in doc]
-        front_list = []
-        for t in tour_list:
-            front_list.append(pwt_dp.dp_front(inst, t))
-            if args.both_orientations:
-                front_list.append(pwt_dp.dp_front(inst, tours.reverse_tour(t)))
-        emit, data = emit_front_csv, front_list
+        if args.both_orientations:      # each tour, then its reversal
+            tour_list = [u for t in tour_list for u in (t, tours.reverse_tour(t))]
+        emit, data = emit_front_csv, pwt_dp.dp_fronts(inst, tour_list)
     elif not args.records:
         raise ValueError(f"plotdata --mode {args.mode} needs --records")
     elif args.mode == "convergence":

@@ -11,7 +11,7 @@ rebuilds packing plans by back-walking them; the batched ``dp_fronts``
 keeps no links and yields points only.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import json
 
 import numpy as np
@@ -153,27 +153,21 @@ def dp_fronts(inst: Instance, tours) -> list:
     All tours advance together: item rank ``j`` is one segment-wise merge
     over the flat concatenation of every tour's column, where each tour
     takes its own ``j``-th item in tour order.  Rewards and weights are
-    bit-identical to :func:`dp_front`'s; no links are kept, so the fronts
-    have ``plans_packed=None``.  This pays off for many narrow columns;
-    :func:`dp_front` stays the path for one wide tour and for plans.
+    bit-identical to :func:`dp_front`'s at every capacity; no links are
+    kept, so the fronts have ``plans_packed=None``.  :func:`dp_front` is the
+    path for plans.
 
-    The merge sorts on an int64 key ``segment * (cap + 1) + weight``, where
     ``cap = min(capacity, total item weight)`` takes the same items as the
-    capacity.  The tours run in sub-batches of at most
-    ``(2**63 - 1) // (cap + 1)`` tours, so that the key fits; fronts are per
-    tour, so the split changes no point.  Where not even one tour fits
-    (``cap == 2**63 - 1``), each front is ``dp_front``'s, without its plans.
+    capacity.  The tours run in the largest sub-batches that the sort key
+    bound of :func:`_kernels.dp_merge_segments` admits, at least one tour
+    each; fronts are per tour, so the split changes no point.
     """
     cap = min(inst.capacity, sum(inst.item_weight.tolist()))
-    per_batch = INT64_MAX // (cap + 1)
-    if per_batch == 0:
-        return [replace(dp_front(inst, t), plans_packed=None) for t in tours]
+    per_batch = (INT64_MAX + 1) // (cap + 1)
     if len(tours) > per_batch:
         return [f for k in range(0, len(tours), per_batch)
                 for f in dp_fronts(inst, tours[k:k + per_batch])]
     n_seg = len(tours)
-    if n_seg == 0:
-        return []
     tour_mat = np.array(tours, np.int64).reshape(n_seg, inst.n)
     _, item_w, item_p, rd_rows, b = _setup(inst, tour_mat)
     seg = np.arange(n_seg)

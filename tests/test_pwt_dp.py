@@ -382,11 +382,10 @@ def test_dp_fronts_equals_dp_front_wide():
 
 @pytest.mark.parametrize("n_tours", [1, 2, 6])
 def test_dp_fronts_sort_key_bound(tiny4, n_tours):
-    """The sort key is bounded by min(capacity, total item weight): at the
-    largest such bound that lets the whole batch share one key, and at one
-    more (which splits it into sub-batches, or for one tour leaves no
-    batch at all), ``dp_fronts`` gives ``dp_front``'s points whatever the
-    capacity above it."""
+    """The sort key is bounded by min(capacity, total item weight): at
+    ``(2**63 - 1) // n_tours - 1`` and at one more, which reach
+    ``2**63 - 1`` for one tour and split six tours into sub-batches,
+    ``dp_fronts`` gives ``dp_front``'s points whatever the capacity above it."""
     fit = (2**63 - 1) // n_tours - 1
     tours_ = ([make_tour(FWD), make_tour(REV)] * 3)[:n_tours]
     for total in (fit, fit + 1):
