@@ -22,10 +22,11 @@ neither side) and a verdict against the metric's bound in the change's
 
 Each side's failed ops over its attempted ops, summed over its runs, are
 printed after the rows, and then each checkout's code size: the line count
-of its ``src/ttpsolve/*.py``, in total and per module.  Exits 1 if any run reports ``correct: false`` or
-exits non-zero, if a pair's two episode-0 fingerprints differ, or if the
-change's failed share exceeds the parent's.  Nothing in either checkout is
-edited, apart from what ``perfbench/run.py`` itself writes to its ``out/``.
+of its ``src/ttpsolve/*.py``, in total and per module.  Exits 1 if any run
+reports ``correct: false`` or exits non-zero, if a pair's two episode-0
+fingerprints differ, or if the change's failed share exceeds the parent's.
+Nothing in either checkout is edited, apart from what ``perfbench/run.py``
+itself writes to its ``out/``.
 """
 
 import argparse
