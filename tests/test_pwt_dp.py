@@ -374,6 +374,35 @@ def test_dp_front_wide_golden():
     assert digests == GOLDEN_DP_WIDE
 
 
+def _column_sizes(monkeypatch):
+    """The sizes of the columns ``_kernels.dp_merge`` returns, as it returns them."""
+    sizes = []
+    merge = _kernels.dp_merge
+
+    def counting(*args):
+        out = merge(*args)
+        sizes.append(out[0].size)
+        return out
+    monkeypatch.setattr(_kernels, "dp_merge", counting)
+    return sizes
+
+
+def test_dp_front_back_links_cross_256_and_65536_cells(monkeypatch):
+    """Every item at one city, rent 0 and profit 1000 x weight: each sum of
+    item weights is a front point.  Columns of 257 and 65,538 cells appear,
+    so back-links into them reach 256 and 65,537, past 8 and 16 bits."""
+    item_w = ([1 << k for k in range(8)] + [1, 1]
+              + [1 << k for k in range(8, 16)] + [1, 1])
+    items = [Item(1000 * w, w, 2) for w in item_w]
+    inst = make_instance("sums", [(0, 0), (0, 1)], items, sum(item_w), 0.1, 1.0, 0.0)
+    sizes = _column_sizes(monkeypatch)
+    f = dp_front(inst, make_tour([1, 2]))
+    assert {257, 65_538} <= set(sizes)
+    assert f.weights.tolist() == list(range(65_540))
+    assert f.rewards.tolist() == (1000.0 * f.weights).tolist()
+    assert (f.plans @ np.array(item_w)).tolist() == f.weights.tolist()
+
+
 def test_dp_fronts_equals_dp_front_wide():
     inst, tours_ = eil76_strongly_correlated()
     for t, f in zip(tours_, dp_fronts(inst, tours_)):
