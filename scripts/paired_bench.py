@@ -24,7 +24,8 @@ Each side's failed ops over its attempted ops, summed over its runs, are
 printed after the rows, and then each checkout's code size: the line count
 of its ``src/ttpsolve/*.py``, in total and per module.  Exits 1 if any run
 reports ``correct: false`` or exits non-zero, if a pair's two episode-0
-fingerprints differ, or if the change's failed share exceeds the parent's.
+fingerprints differ, if the change's failed share exceeds the parent's, or
+if a metric reads ``worse``, as a benchmark gate would reject the change.
 Nothing in either checkout is edited, apart from what ``perfbench/run.py``
 itself writes to its ``out/``.
 """
@@ -192,7 +193,10 @@ def main(argv=None):
     print(format_sizes({side: code_size(path) for side, path in checkouts.items()}))
     for fault in faults:
         print(f"paired_bench: {fault}", file=sys.stderr)
-    return 1 if faults else 0
+    worse = [name for name, row in rows.items() if row["status"] == "worse"]
+    for name in worse:
+        print(f"paired_bench: {name} reads worse", file=sys.stderr)
+    return 1 if faults or worse else 0
 
 
 if __name__ == "__main__":

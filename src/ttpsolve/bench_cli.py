@@ -465,7 +465,12 @@ def cli_plotdata(args):
 
 def cli_dpfront(args):
     inst = _read_instance(args.instance)
-    t = _instance_tour(inst, [int(x) for x in args.tour.split(",")])
+    try:
+        cities = [int(x) for x in args.tour.split(",")]
+    except ValueError:
+        raise ValueError("--tour must be comma-separated city numbers, "
+                         f"not {args.tour!r}") from None
+    t = _instance_tour(inst, cities)
     _write_out(pwt_dp.dp_front(inst, t).to_json(), args.out)
     return 0
 

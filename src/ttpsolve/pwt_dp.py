@@ -6,9 +6,12 @@ exactly: items are processed in tour order, each column is derived from its
 predecessor by a keep-vs-take step, and dominated cells are pruned
 immediately.  Columns are sparse (only surviving cells are stored).
 Both paths take their inputs from one ``_setup``.  ``dp_front`` retains
-only the final column and every column's (took, prev) back-links, and
-rebuilds packing plans by back-walking them; the batched ``dp_fronts``
-keeps no links and yields points only.
+only the final column and every column's (took, prev) back-links, each
+prev in the narrowest unsigned type that indexes its predecessor column
+(3 bytes a cell below 65,536 cells), and rebuilds packing plans by
+back-walking them: each column's links are freed as the walk reads them,
+and each item's plan bit is set in place in the packed rows.  The batched
+``dp_fronts`` keeps no links and yields points only.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ class DpFront:
     ``rewards`` and ``weights`` are parallel arrays sorted by weight with
     strictly increasing rewards.  ``plans_packed`` holds one packing per
     point as packbits rows (None on a points-only front from ``dp_fronts``);
-    ``plans`` unpacks them to boolean flags.
+    ``plans`` unpacks them to boolean flags, a bool view of the unpacked bytes.
     """
     tour: np.ndarray
     rewards: np.ndarray
@@ -47,7 +50,8 @@ class DpFront:
     def _unpack(self, rows) -> np.ndarray:
         if self.plans_packed is None:
             raise ValueError("a points-only front (from dp_fronts) has no plans; use dp_front")
-        return np.unpackbits(self.plans_packed[rows], axis=-1, count=self.m).astype(bool)
+        # the unpacked values are 0 and 1 already
+        return np.unpackbits(self.plans_packed[rows], axis=-1, count=self.m).view(bool)
 
     def plan_items(self, i: int) -> list:
         """1-based item indices of the packing behind point ``i``."""
@@ -132,18 +136,20 @@ def dp_front(inst: Instance, t: np.ndarray) -> DpFront:
     w = np.zeros(1, np.int64)
     links = []
     for iw, ip, r in zip(item_w[0].tolist(), item_p[0].tolist(), rd_rows[0].tolist()):
+        # a prev indexes the column before the merge, so its last index fits
+        link_type = np.min_scalar_type(w.size - 1)
         w, b, took, prev = _kernels.dp_merge(w, b, iw, ip, r, inst.vmax, inst.nu, inst.capacity)
-        links.append((took, prev))
-    # back-walk every final cell at once, collecting flags by item rank
-    by_rank = np.zeros((inst.m, w.size), bool)
+        links.append((took, prev.astype(link_type)))
+    # back-walk every final cell at once, last item first, freeing each
+    # column's links as they are read and setting the item's bit in
+    # np.packbits' order; the cursor stays intp, as narrow indices walk slower
+    packed = np.zeros((w.size, -(-inst.m // 8)), np.uint8)
     cur = np.arange(w.size)
-    for j in range(inst.m - 1, -1, -1):
-        took, prev = links[j]
-        by_rank[j] = took[cur]
-        cur = prev[cur]
-    plans = np.zeros((w.size, inst.m), bool)
-    plans[:, orders[0]] = by_rank.T
-    return DpFront(tour=t.copy(), rewards=b, weights=w, plans_packed=np.packbits(plans, axis=1),
+    for item in orders[0, ::-1].tolist():
+        took, prev = links.pop()
+        packed[:, item >> 3] |= took[cur] << (7 - (item & 7))
+        cur = prev[cur].astype(np.intp)
+    return DpFront(tour=t.copy(), rewards=b, weights=w, plans_packed=packed,
                    m=inst.m, capacity=inst.capacity)
 
 

@@ -746,6 +746,10 @@ def _bad_input(number, argv, needle):
                     "A"], "mismatched instance sets: ['eil51', 'tiny4']"),
     _bad_input(56, ["run", "--instance", "{tiny4}", "--out", "{tmp}/o", "--seed", "-1"],
                "seed must be >= 0"),
+    _bad_input(57, ["dpfront", "--instance", "{tiny4}", "--tour", "1,2,x"],
+               "--tour must be comma-separated city numbers, not '1,2,x'"),
+    _bad_input(58, ["dpfront", "--instance", "{tiny4}", "--tour", "1,2,3,4,"],
+               "--tour must be comma-separated city numbers, not '1,2,3,4,'"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

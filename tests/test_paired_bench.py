@@ -96,17 +96,17 @@ def test_a_rising_failed_share_is_a_fault():
     assert paired_bench.summarize(pairs, END_TO_END)[1] == []
 
 
-def make_checkout(root, modules):
+def make_checkout(root, modules, **values):
     """A checkout whose ``src/ttpsolve`` holds ``modules`` (``{name: lines}``),
-    whose ``perfbench/run.py`` prints a correct run with fixed metrics, and
-    whose ``BENCHMARK.json`` is this repo's."""
+    whose ``perfbench/run.py`` prints a correct run with fixed metrics (1.0,
+    or as ``values`` names them), and whose ``BENCHMARK.json`` is this repo's."""
     pkg = root / "src" / "ttpsolve"
     pkg.mkdir(parents=True)
     for name, lines in modules.items():
         (pkg / f"{name}.py").write_text("x = 1\n" * lines)
     (pkg / "notes.txt").write_text("not a module\n")
     (root / "perfbench").mkdir()
-    metrics = {spec["name"]: {"value": 1.0} for spec in END_TO_END}
+    metrics = {spec["name"]: {"value": values.get(spec["name"], 1.0)} for spec in END_TO_END}
     (root / "perfbench" / "run.py").write_text(
         "import json\n"
         "print(json.dumps({'info': {'fingerprint': [1.0, 2.0]}}))\n"
@@ -126,3 +126,18 @@ def test_code_size_is_printed_per_checkout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == ("code size  parent 16 (__init__ 2, a 10, b 4)"
                          "  change 9 (__init__ 2, a 7)")
+
+
+def test_a_worse_metric_exits_1(tmp_path, capsys):
+    """A ``worse`` row fails the run, as a benchmark gate would; a ``better``
+    one does not."""
+    parent = make_checkout(tmp_path / "parent", {"a": 1}, peak_rss_mb=50.0)
+    argv = ["--parent", str(parent), "--workload", "w", "--pairs", "2", "--seconds", "0.1",
+            "--seed-base", "1"]
+    worse = make_checkout(tmp_path / "worse", {"a": 1}, peak_rss_mb=60.0)
+    assert paired_bench.main(argv + ["--change", str(worse)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["paired_bench: peak_rss_mb reads worse"]
+    better = make_checkout(tmp_path / "better", {"a": 1}, peak_rss_mb=40.0)
+    assert paired_bench.main(argv + ["--change", str(better)]) == 0
+    assert capsys.readouterr().err == ""

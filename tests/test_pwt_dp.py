@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,22 @@ def test_dp_front_back_links_cross_256_and_65536_cells(monkeypatch):
     assert f.weights.tolist() == list(range(65_540))
     assert f.rewards.tolist() == (1000.0 * f.weights).tolist()
     assert (f.plans @ np.array(item_w)).tolist() == f.weights.tolist()
+
+
+def test_dp_front_peak_memory_per_stored_cell(monkeypatch):
+    """One ``dp_front`` on a wide tour traces a peak of at most 6 bytes per
+    cell of all the columns its merges return: narrow back-links, freed as
+    the walk reads them, and plan bits set in place."""
+    inst, tours_ = eil76_strongly_correlated()
+    sizes = _column_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        dp_front(inst, tours_[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) > 200_000
+    assert peak <= 6 * sum(sizes), peak / sum(sizes)
 
 
 def test_dp_fronts_equals_dp_front_wide():
