@@ -421,16 +421,6 @@ def cli_summarize(args):
     return 0
 
 
-def _instance_tour(inst, cities):
-    """``tours.make_tour(cities)``, checked to visit all of ``inst``'s cities."""
-    if not isinstance(cities, list):
-        raise ValueError(f"a tour must be a list of city numbers, not {cities!r}")
-    t = tours.make_tour(cities)
-    if t.size != inst.n:
-        raise ValueError(f"tour has {t.size} cities, the instance has n={inst.n}")
-    return t
-
-
 def cli_plotdata(args):
     """Read and check every input, then make ``--out`` and write ``<mode>.csv`` there."""
     if args.mode == "fronts":
@@ -440,7 +430,7 @@ def cli_plotdata(args):
         doc = read_json(args.tours)
         if not isinstance(doc, list):
             raise ValueError(f"{args.tours}: expected a JSON list of tours")
-        tour_list = [_instance_tour(inst, t) for t in doc]
+        tour_list = [tours.make_tour(t, inst.n) for t in doc]
         if args.both_orientations:      # each tour, then its reversal
             tour_list = [u for t in tour_list for u in (t, tours.reverse_tour(t))]
         emit, data = emit_front_csv, pwt_dp.dp_fronts(inst, tour_list)
@@ -470,12 +460,14 @@ def cli_dpfront(args):
     except ValueError:
         raise ValueError("--tour must be comma-separated city numbers, "
                          f"not {args.tour!r}") from None
-    t = _instance_tour(inst, cities)
+    t = tours.make_tour(cities, inst.n)
     _write_out(pwt_dp.dp_front(inst, t).to_json(), args.out)
     return 0
 
 
 def cli_seed_tours(args):
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     inst = _read_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     result = tours.inver_over(inst, args.pop, args.generations, args.p_random, rng)

@@ -1,4 +1,4 @@
-"""Travelling-thief benchmark instances: parsing, validation, distances.
+"""Travelling-thief benchmark instances: parsing, checks, distances.
 
 The on-disk format is the line-oriented benchmark layout: nine header
 ``KEY: value`` lines, then a node-coordinate section and an items section.
@@ -34,27 +34,42 @@ class Item:
 # eq=False: equality is identity, and an Instance hashes, although it holds arrays
 @dataclass(frozen=True, eq=False)
 class Instance:
+    """A travelling-thief instance whose values the DP can use.
+
+    Every Instance, parsed, built with :func:`make_instance`, constructed or
+    made by ``dataclasses.replace``, passes :func:`_check_ranges` and then
+    :func:`_check_floats`, or raises :class:`InstanceFormatError` with the
+    first problem.  ``n``, ``m``, ``nu`` (the speed lost per unit of weight)
+    and the int64 item arrays are derived, so ``replace`` recomputes them.
+    """
     name: str
-    n: int
-    m: int
     coords: np.ndarray  # (n, 2) float64
     items: tuple
     capacity: int
     vmin: float
     vmax: float
     rent: float
-    nu: float
-    item_profit: np.ndarray = field(default=None, repr=False)
-    item_weight: np.ndarray = field(default=None, repr=False)
-    item_node: np.ndarray = field(default=None, repr=False)
+    n: int = field(init=False)
+    m: int = field(init=False)
+    nu: float = field(init=False)
+    item_profit: np.ndarray = field(init=False, repr=False)
+    item_weight: np.ndarray = field(init=False, repr=False)
+    item_node: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # before the item values are packed into int64 and the capacity divides
+        _check_ranges(self.coords, self.items, self.capacity)
+        object.__setattr__(self, "n", len(self.coords))
+        object.__setattr__(self, "m", len(self.items))
+        object.__setattr__(self, "nu", (self.vmax - self.vmin) / self.capacity
+                           if self.capacity > 0 else 0.0)
         object.__setattr__(self, "item_profit",
                            np.array([it.profit for it in self.items], np.int64))
         object.__setattr__(self, "item_weight",
                            np.array([it.weight for it in self.items], np.int64))
         object.__setattr__(self, "item_node",
                            np.array([it.node for it in self.items], np.int64))
+        _check_floats(self)
 
 
 def _ceil2d(a, b):
@@ -66,13 +81,10 @@ def _ceil2d(a, b):
 
 
 def make_instance(name, coords, items, capacity, vmin, vmax, rent):
-    """Build an Instance from in-memory data (the fixture-friendly path)."""
-    coords = np.asarray(coords, np.float64)
-    n = len(coords)
-    nu = (vmax - vmin) / capacity if capacity > 0 else 0.0
-    return Instance(name=name, n=n, m=len(items), coords=coords,
-                    items=tuple(items), capacity=int(capacity),
-                    vmin=float(vmin), vmax=float(vmax), rent=float(rent), nu=nu)
+    """The Instance of in-memory data, converted to its field types."""
+    return Instance(name=name, coords=np.asarray(coords, np.float64), items=tuple(items),
+                    capacity=int(capacity), vmin=float(vmin), vmax=float(vmax),
+                    rent=float(rent))
 
 
 def distance(inst: Instance, i: int, j: int) -> int:
@@ -118,12 +130,10 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(
             f"unsupported EDGE_WEIGHT_TYPE: {header['EDGE_WEIGHT_TYPE']} (only CEIL_2D)")
 
-    n = int(header["DIMENSION"])
-    m = int(header["NUMBER OF ITEMS"])
-    capacity = int(header["CAPACITY OF KNAPSACK"])
-    vmin = float(header["MIN SPEED"])
-    vmax = float(header["MAX SPEED"])
-    rent = float(header["RENTING RATIO"])
+    n, m, capacity = (_number(int, header[key], f"{key} {header[key]!r} is not an integer")
+                      for key in ("DIMENSION", "NUMBER OF ITEMS", "CAPACITY OF KNAPSACK"))
+    vmin, vmax, rent = (_number(float, header[key], f"{key} {header[key]!r} is not a number")
+                        for key in ("MIN SPEED", "MAX SPEED", "RENTING RATIO"))
 
     body = lines[idx:]
     if not body or not body[0].startswith("NODE_COORD_SECTION"):
@@ -135,17 +145,16 @@ def parse_instance(text: str) -> Instance:
     coords = np.array(_numbered_rows(body[1:items_at], n, "cities", "coordinate", float, 2),
                       np.float64).reshape(n, 2)
     items = [Item(*row) for row in _numbered_rows(body[items_at + 1:], m, "items", "item", int, 3)]
+    return make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
 
-    # item nodes and a capacity beyond int64 must be caught before
-    # make_instance packs them and divides by the capacity
-    problems = _range_violations(coords, items, n, capacity)
-    if problems:
-        raise InstanceFormatError(problems[0])
-    inst = make_instance(header["PROBLEM NAME"], coords, items, capacity, vmin, vmax, rent)
-    problems = _float_violations(inst)
-    if problems:
-        raise InstanceFormatError(problems[0])
-    return inst
+
+def _number(number, text, problem):
+    """``number(text)``, or InstanceFormatError(``problem``) if ``text`` is
+    not such a number."""
+    try:
+        return number(text)
+    except ValueError:
+        raise InstanceFormatError(problem) from None
 
 
 def _numbered_rows(lines, count, plural, kind, number, fields):
@@ -157,17 +166,18 @@ def _numbered_rows(lines, count, plural, kind, number, fields):
     rows = []
     for expect, ln in enumerate(lines, start=1):
         parts = ln.split()
+        malformed = f"malformed {kind} line: {ln!r}"
         if len(parts) != fields + 1:
-            raise InstanceFormatError(f"malformed {kind} line: {ln!r}")
-        if int(parts[0]) != expect:
+            raise InstanceFormatError(malformed)
+        if _number(int, parts[0], malformed) != expect:
             raise InstanceFormatError(f"{kind} index out of order: {ln!r}")
-        rows.append(list(map(number, parts[1:])))
+        rows.append([_number(number, p, malformed) for p in parts[1:]])
     return rows
 
 
-def _range_violations(coords, items, n, capacity) -> list:
-    """City count, item, coordinate and capacity values outside their range
-    or beyond int64.
+def _check_ranges(coords, items, capacity):
+    """Raise InstanceFormatError at the first city count, item, coordinate
+    or capacity value outside its range or beyond int64.
 
     There is at least one city, city 1, the depot.  Each item sits on one
     of the cities 2..n (the depot holds no items), and its profit and
@@ -176,29 +186,30 @@ def _range_violations(coords, items, n, capacity) -> list:
     profit and the total weight of all items must fit in int64, so every
     packing's weight does too, and so must the capacity.
     """
-    report = []
+    n = len(coords)
     if n < 1:
-        report.append(f"DIMENSION {n} is below 1 (city 1, the depot, must exist)")
+        raise InstanceFormatError(f"DIMENSION {n} is below 1 (city 1, the depot, must exist)")
     for i, it in enumerate(items, start=1):
         if it.node == 1:
-            report.append(f"item {i} at depot (city 1 holds no items)")
-        elif not (2 <= it.node <= n):
-            report.append(f"item {i} node {it.node} out of range [2, {n}]")
+            raise InstanceFormatError(f"item {i} at depot (city 1 holds no items)")
+        if not (2 <= it.node <= n):
+            raise InstanceFormatError(f"item {i} node {it.node} out of range [2, {n}]")
         for name in ("profit", "weight"):
             value = getattr(it, name)
             if value <= 0 or int(value) != value:
-                report.append(f"item {i} {name} not a positive integer")
+                raise InstanceFormatError(f"item {i} {name} not a positive integer")
     if not np.all(np.isfinite(coords)):
-        report.append("coordinates must be finite")
-    elif _longest_tour(coords) >= LENGTH_LIMIT:
-        report.append(f"coordinates span too far: tour lengths reach {LENGTH_LIMIT}")
+        raise InstanceFormatError("coordinates must be finite")
+    if _longest_tour(coords) >= LENGTH_LIMIT:
+        raise InstanceFormatError(f"coordinates span too far: tour lengths reach {LENGTH_LIMIT}")
     for name in ("profit", "weight"):
         total = sum(getattr(it, name) for it in items)
         if total > INT64_MAX:
-            report.append(f"items' total {name} {total} is beyond int64 ({INT64_MAX})")
+            raise InstanceFormatError(
+                f"items' total {name} {total} is beyond int64 ({INT64_MAX})")
     if capacity > INT64_MAX:
-        report.append(f"CAPACITY OF KNAPSACK {capacity} is beyond int64 ({INT64_MAX})")
-    return report
+        raise InstanceFormatError(
+            f"CAPACITY OF KNAPSACK {capacity} is beyond int64 ({INT64_MAX})")
 
 
 def _longest_tour(coords) -> float:
@@ -208,9 +219,9 @@ def _longest_tour(coords) -> float:
     return max(len(coords), 1) * (math.hypot(*span) + 1)
 
 
-def _float_violations(inst: Instance) -> list:
-    """Capacity, speed and rent values outside their range, or whose travel
-    costs float64 cannot carry.
+def _check_floats(inst: Instance):
+    """Raise InstanceFormatError at the first capacity, speed or rent value
+    outside its range, or whose travel costs float64 cannot carry.
 
     The capacity must be >= 0, MAX SPEED > MIN SPEED > 0 with MAX SPEED
     finite, and RENTING RATIO finite and >= 0.  On such values the speed at
@@ -218,29 +229,26 @@ def _float_violations(inst: Instance) -> list:
     length, time and cost of the longest conceivable tour must stay below
     ``COST_LIMIT``.
     """
-    report = []
     if inst.capacity < 0:
-        report.append(f"negative knapsack capacity {inst.capacity}")
+        raise InstanceFormatError(f"negative knapsack capacity {inst.capacity}")
     if not inst.vmax > inst.vmin > 0:
-        report.append(f"speed range degenerate: MIN SPEED {inst.vmin}, MAX SPEED {inst.vmax} "
-                      "(need MAX SPEED > MIN SPEED > 0)")
+        raise InstanceFormatError(
+            f"speed range degenerate: MIN SPEED {inst.vmin}, MAX SPEED {inst.vmax} "
+            "(need MAX SPEED > MIN SPEED > 0)")
     if not math.isfinite(inst.vmax):
-        report.append(f"MAX SPEED {inst.vmax} is not finite")
+        raise InstanceFormatError(f"MAX SPEED {inst.vmax} is not finite")
     if not (math.isfinite(inst.rent) and inst.rent >= 0):
-        report.append(f"RENTING RATIO {inst.rent} must be finite and >= 0")
-    if report:
-        return report
+        raise InstanceFormatError(f"RENTING RATIO {inst.rent} must be finite and >= 0")
     slowest = inst.vmax - inst.nu * inst.capacity
     if not slowest > 0:
-        return [f"speed at full load computes to {slowest}: MIN SPEED {inst.vmin} "
-                f"is too small against MAX SPEED {inst.vmax}"]
+        raise InstanceFormatError(f"speed at full load computes to {slowest}: MIN SPEED "
+                                  f"{inst.vmin} is too small against MAX SPEED {inst.vmax}")
     longest = _longest_tour(inst.coords)
     # the DP forms both rent x distance and rent x distance / speed
     worst = max(longest, longest / slowest)
     if not (worst < COST_LIMIT and inst.rent * worst < COST_LIMIT):
-        return [f"tour times or costs reach beyond {COST_LIMIT:g} "
-                f"(MIN SPEED {inst.vmin}, RENTING RATIO {inst.rent})"]
-    return report
+        raise InstanceFormatError(f"tour times or costs reach beyond {COST_LIMIT:g} "
+                                  f"(MIN SPEED {inst.vmin}, RENTING RATIO {inst.rent})")
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -264,11 +272,3 @@ def serialize_instance(inst: Instance) -> str:
         out.append(f"{i} {it.profit} {it.weight} {it.node}")
     return "\n".join(out) + "\n"
 
-
-def validate(inst: Instance) -> list:
-    """Invariant check; violations are reported, not raised."""
-    report = (_range_violations(inst.coords, inst.items, inst.n, inst.capacity)
-              + _float_violations(inst))
-    if inst.capacity > 0 and inst.nu != (inst.vmax - inst.vmin) / inst.capacity:
-        report.append("stored nu inconsistent with (vmax - vmin)/C")
-    return report

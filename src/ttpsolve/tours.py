@@ -8,6 +8,7 @@ city 1.  Positions in operator signatures are 1-based as well, so position
 """
 
 import numbers
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,35 +20,40 @@ from .instance_io import Instance, _ceil2d
 P_RANDOM_DEFAULT = 0.02
 
 
-def make_tour(cities) -> np.ndarray:
+def make_tour(cities, n: int | None = None) -> np.ndarray:
     """The tour of a sequence of 1-based city numbers, which must be integers
-    (not bools, and not floats even when whole)."""
+    (not bools, and not floats even when whole), checked by :func:`check_tour`."""
     if isinstance(cities, np.ndarray):
         if cities.dtype.kind not in "iu":
             raise ValueError(f"city numbers must be integers, not {cities.dtype}")
+    elif isinstance(cities, (str, bytes)) or not isinstance(cities, Sequence):
+        raise ValueError(f"a tour must be a list of city numbers, not {cities!r}")
     else:
-        cities = list(cities)
         for c in cities:
             if isinstance(c, bool) or not isinstance(c, numbers.Integral):
                 raise ValueError(f"city numbers must be integers, not {c!r}")
     t = np.asarray(cities, np.int64)
-    check_tour(t)
+    check_tour(t, n)
     return t
 
 
-def check_tour(t: np.ndarray):
+def check_tour(t: np.ndarray, n: int | None = None):
+    """Raise ValueError unless ``t`` starts at city 1, is a permutation of
+    1..t.size and, given ``n``, visits all ``n`` cities of the instance."""
     if t.size == 0 or t[0] != 1:
         raise ValueError("tour must start at city 1")
     if len(np.unique(t)) != t.size or t.min() != 1 or t.max() != t.size:
         raise ValueError("tour is not a permutation of 1..n")
+    if n is not None and t.size != n:
+        raise ValueError(f"tour has {t.size} cities, the instance has n={n}")
 
 
 def is_valid_tour(t: np.ndarray, n: int | None = None) -> bool:
     try:
-        check_tour(t)
+        check_tour(t, n)
     except ValueError:
         return False
-    return n is None or t.size == n
+    return True
 
 
 def _legs(inst: Instance, t: np.ndarray) -> np.ndarray:

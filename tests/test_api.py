@@ -4,7 +4,7 @@ only together with this list."""
 import ttpsolve
 
 PUBLIC = [
-    "Instance", "Item", "parse_instance", "serialize_instance", "distance", "validate",
+    "Instance", "Item", "parse_instance", "serialize_instance", "distance",
     "make_tour", "tour_length", "inver_over", "two_opt_mutate", "jump_mutate", "crossover",
     "DpFront", "dp_front", "evaluate",
     "Surface", "surface",

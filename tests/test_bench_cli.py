@@ -568,6 +568,8 @@ def _write_cli_inputs(tmp_path):
         (tmp_path / name / "summary.json").write_text(json.dumps(doc))
     (tmp_path / "huge_capacity.ttp").write_text(
         TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: " + "9" * 401))
+    (tmp_path / "text_dimension.ttp").write_text(
+        TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION: four"))
     # the header and section lines of tiny4, with no cities and no items
     no_cities = TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION: 0").replace(
         "NUMBER OF ITEMS: 3", "NUMBER OF ITEMS: 0").splitlines()
@@ -750,6 +752,10 @@ def _bad_input(number, argv, needle):
                "--tour must be comma-separated city numbers, not '1,2,x'"),
     _bad_input(58, ["dpfront", "--instance", "{tiny4}", "--tour", "1,2,3,4,"],
                "--tour must be comma-separated city numbers, not '1,2,3,4,'"),
+    _bad_input(59, ["dpfront", "--instance", "{tmp}/text_dimension.ttp", "--tour", "1,2,3,4"],
+               "DIMENSION 'four' is not an integer"),
+    _bad_input(60, ["seed-tours", "--instance", "{tiny4}", "--pop", "4", "--seed", "-1"],
+               "seed must be >= 0"),
 ])
 def test_cli_bad_input_one_error_line(tiny4_file, tmp_path, capsys, argv, needle):
     _write_cli_inputs(tmp_path)

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttpsolve.instance_io import (
-    InstanceFormatError, Item, distance, make_instance, parse_instance,
-    serialize_instance, validate,
+    InstanceFormatError, Item, distance, make_instance, parse_instance, serialize_instance,
 )
-from ttpsolve.pwt_dp import dp_front
+from ttpsolve.pwt_dp import dp_front, dp_fronts
 from ttpsolve.tours import make_tour, tour_length
 
 from conftest import TINY4_TEXT
@@ -76,6 +75,18 @@ def test_parse_duplicate_header():
                  "malformed item line: '2 30 3'", id="item-fields"),
     pytest.param(TINY4_TEXT.replace("\n2 30 3 3\n", "\n3 30 3 3\n"),
                  "item index out of order: '3 30 3 3'", id="item-index"),
+    pytest.param(TINY4_TEXT.replace("DIMENSION: 4", "DIMENSION: four"),
+                 "DIMENSION 'four' is not an integer", id="text-dimension"),
+    pytest.param(TINY4_TEXT.replace("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5.5"),
+                 "CAPACITY OF KNAPSACK '5.5' is not an integer", id="fractional-capacity"),
+    pytest.param(TINY4_TEXT.replace("MIN SPEED: 0.1", "MIN SPEED: slow"),
+                 "MIN SPEED 'slow' is not a number", id="text-speed"),
+    pytest.param(TINY4_TEXT.replace("\n2 30 3 3\n", "\n2 30 3.0 3\n"),
+                 "malformed item line: '2 30 3.0 3'", id="fractional-item-weight"),
+    pytest.param(TINY4_TEXT.replace("\n3 4 3\n", "\n3 4 x\n"),
+                 "malformed coordinate line: '3 4 x'", id="text-coordinate"),
+    pytest.param(TINY4_TEXT.replace("\n1 0 0\n", "\none 0 0\n"),
+                 "malformed coordinate line: 'one 0 0'", id="text-coordinate-index"),
 ])
 def test_parse_rejects_broken_layout(text, match):
     with pytest.raises(InstanceFormatError, match=re.escape(match)):
@@ -134,27 +145,66 @@ def test_roundtrip_keeps_coordinate_precision():
     assert tour_length(again, t) == tour_length(inst, t)
 
 
-def test_validate_clean(tiny4):
-    assert validate(tiny4) == []
-
-
 def test_validate_item_at_depot(tiny4):
-    bad = make_instance("bad", tiny4.coords,
-                        [Item(20, 2, 1), Item(30, 3, 3), Item(25, 2, 4)],
-                        5, 0.1, 1.0, 1.0)
-    report = validate(bad)
-    assert len(report) == 1 and "depot" in report[0]
-
-
-def test_validate_reports_inconsistent_nu(tiny4):
-    report = validate(dataclasses.replace(tiny4, nu=tiny4.nu / 2))
-    assert report == ["stored nu inconsistent with (vmax - vmin)/C"]
+    with pytest.raises(InstanceFormatError, match="depot"):
+        make_instance("bad", tiny4.coords, [Item(20, 2, 1), Item(30, 3, 3), Item(25, 2, 4)],
+                      5, 0.1, 1.0, 1.0)
 
 
 def test_validate_degenerate_speed(tiny4):
-    bad = make_instance("bad", tiny4.coords, list(tiny4.items), 5, 1.0, 1.0, 1.0)
-    report = validate(bad)
-    assert len(report) == 1 and "speed range degenerate" in report[0]
+    with pytest.raises(InstanceFormatError, match="speed range degenerate"):
+        make_instance("bad", tiny4.coords, list(tiny4.items), 5, 1.0, 1.0, 1.0)
+
+
+def test_replace_recomputes_derived_fields(tiny4):
+    """``nu`` follows the new capacity, and so does the front: with nu kept
+    at 0.18 the DP found 3 of the 6 points."""
+    wide = dataclasses.replace(tiny4, capacity=10)
+    fresh = make_instance("tiny4", tiny4.coords, tiny4.items, 10, 0.1, 1.0, 1.0)
+    assert wide.nu == fresh.nu == pytest.approx(0.09)
+    t = make_tour([1, 2, 3, 4])
+    got, want = dp_front(wide, t), dp_front(fresh, t)
+    assert got.weights.tolist() == want.weights.tolist() == [0, 2, 3, 4, 5, 7]
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.plans_packed.tobytes() == want.plans_packed.tobytes()
+
+
+@pytest.mark.parametrize("name", ["n", "m", "nu", "item_profit", "item_weight", "item_node"])
+def test_replace_cannot_set_derived_fields(tiny4, name):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tiny4, **{name: getattr(tiny4, name)})
+
+
+_TINY4_ITEMS = (Item(20, 2, 2), Item(30, 3, 3), Item(25, 2, 4))
+
+
+@pytest.mark.parametrize("old, new, field, value", [
+    ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: -5", "capacity", -5),
+    ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: -1", "capacity", -1),
+    ("CAPACITY OF KNAPSACK: 5", f"CAPACITY OF KNAPSACK: {2**63}", "capacity", 2**63),
+    ("MIN SPEED: 0.1", "MIN SPEED: 2.0", "vmin", 2.0),
+    ("MIN SPEED: 0.1", "MIN SPEED: 1e-300", "vmin", 1e-300),
+    ("MAX SPEED: 1.0", "MAX SPEED: inf", "vmax", math.inf),
+    ("RENTING RATIO: 1.0", "RENTING RATIO: nan", "rent", math.nan),
+    ("RENTING RATIO: 1.0", "RENTING RATIO: -0.5", "rent", -0.5),
+    ("RENTING RATIO: 1.0", "RENTING RATIO: 1e299", "rent", 1e299),
+    ("\n2 0 3\n", "\n2 nan 3\n", "coords", np.array([[0, 0], [math.nan, 3], [4, 3], [4, 0]])),
+    ("\n2 0 3\n", "\n2 1e150 3\n", "coords", np.array([[0, 0], [1e150, 3], [4, 3], [4, 0]])),
+    ("\n1 20 2 2\n", "\n1 20 2 1\n", "items", (Item(20, 2, 1),) + _TINY4_ITEMS[1:]),
+    ("\n3 25 2 4\n", "\n3 25 2 5\n", "items", _TINY4_ITEMS[:2] + (Item(25, 2, 5),)),
+])
+def test_replace_and_make_instance_refuse_what_parse_refuses(tiny4, old, new, field, value):
+    """With the parser's message; built or replaced, capacity -5 gave an
+    empty ``dp_fronts`` and capacity -1 a ZeroDivisionError."""
+    with pytest.raises(InstanceFormatError) as parsed:
+        parse_instance(TINY4_TEXT.replace(old, new))
+    match = f"^{re.escape(str(parsed.value))}$"
+    with pytest.raises(InstanceFormatError, match=match):
+        dataclasses.replace(tiny4, **{field: value})
+    fields = dict(name="bad", coords=tiny4.coords, items=tiny4.items, capacity=tiny4.capacity,
+                  vmin=tiny4.vmin, vmax=tiny4.vmax, rent=tiny4.rent)
+    with pytest.raises(InstanceFormatError, match=match):
+        make_instance(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("vmin, vmax", [("2.0", "1.0"), ("1.0", "1.0"),
@@ -196,8 +246,8 @@ def test_parse_accepts_zero_renting_ratio():
     (math.inf, 1.0, "MAX SPEED inf is not finite"),
 ])
 def test_validate_reports_unusable_header_value(tiny4, vmax, rent, problem):
-    bad = make_instance("bad", tiny4.coords, list(tiny4.items), 5, 0.1, vmax, rent)
-    assert validate(bad) == [problem]
+    with pytest.raises(InstanceFormatError, match=f"^{re.escape(problem)}$"):
+        make_instance("bad", tiny4.coords, list(tiny4.items), 5, 0.1, vmax, rent)
 
 
 _JUNK = st.one_of(
@@ -267,14 +317,14 @@ def test_parse_rejects_values_beyond_int64(old, new, match):
 
 
 def test_validate_reports_values_beyond_int64(tiny4):
-    """Bad coordinates are reported without a float or cast warning."""
+    """Bad coordinates are refused without a float or cast warning."""
     for x, problem in ((2e18, "coordinates span too far"), (1e150, "coordinates span too far"),
                        (float("nan"), "coordinates must be finite")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            far = make_instance("far", [(0, 0), (0, 3), (4, 3), (x, 0)], list(tiny4.items),
-                                5, 0.1, 1.0, 1.0)
-            assert validate(far)[0].startswith(problem)
+            with pytest.raises(InstanceFormatError, match=f"^{re.escape(problem)}"):
+                make_instance("far", [(0, 0), (0, 3), (4, 3), (x, 0)], list(tiny4.items),
+                              5, 0.1, 1.0, 1.0)
 
 
 _BODY_INTS = st.one_of(st.integers(-3, 12), st.integers(-10**20, 10**20),
@@ -320,3 +370,42 @@ def test_parse_instance_fuzzed_body_lines(mutations):
             return
         for cities in ([1, 2, 3, 4], [1, 4, 3, 2]):
             assert np.all(np.isfinite(dp_front(inst, make_tour(cities)).rewards))
+
+
+_RAW_FLOATS = st.one_of(st.floats(0, 2), st.floats(-20, 20),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.floats(1e-320, 1e-300), st.floats(1e300, 1e308))
+
+
+@st.composite
+def instance_values(draw):
+    """tiny4's capacity, speeds, rent and one coordinate, each kept or
+    replaced by an int or float as ``_BODY_INTS`` and ``_FLOATS`` draw them."""
+    values = dict(capacity=5, vmin=0.1, vmax=1.0, rent=1.0)
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=4, unique=True)):
+        values[key] = draw(_BODY_INTS.map(int) if key == "capacity" else _RAW_FLOATS)
+    coords = [[0.0, 0.0], [0.0, 3.0], [4.0, 3.0], [4.0, 0.0]]
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(_RAW_FLOATS)
+    return coords, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_values())
+def test_make_instance_refuses_or_gives_finite_fronts(drawn):
+    """Each draw is refused with an InstanceFormatError or gives finite,
+    non-empty ``dp_front`` and ``dp_fronts`` fronts; neither path raises a
+    float warning."""
+    coords, values = drawn
+    items = [Item(20, 2, 2), Item(30, 3, 3), Item(25, 2, 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            inst = make_instance("drawn", coords, items, **values)
+        except InstanceFormatError:
+            return
+        tours = [make_tour([1, 2, 3, 4]), make_tour([1, 4, 3, 2])]
+        fronts = [dp_front(inst, t) for t in tours] + dp_fronts(inst, tours)
+        assert len(fronts) == 4
+        for front in fronts:
+            assert front.rewards.size >= 1 and np.all(np.isfinite(front.rewards))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ttpsolve import _kernels
 from ttpsolve.evolve import IbeaConfig, run_ibea
 from ttpsolve.instance_io import (
-    Item, distance, make_instance, parse_instance, serialize_instance, validate,
+    Item, distance, make_instance, parse_instance, serialize_instance,
 )
 from ttpsolve.pwt_dp import (
     REWARD_RTOL, _setup, dp_front, dp_fronts, evaluate, merge_fronts, staircase,
@@ -465,14 +465,13 @@ def test_dp_fronts_wrapping_capacity_equals_dp_front():
 
 
 def test_dp_fronts_sub_batches_a_valid_instance():
-    """Items of weight 1e17, 1e17 and 2e17 at capacity 3e17 pass
-    ``validate``, and 50 tours overflow one batch's key; the sub-batches
+    """Items of weight 1e17, 1e17 and 2e17 at capacity 3e17 pass the
+    instance checks, and 50 tours overflow one batch's key; the sub-batches
     give each tour ``dp_front``'s points, and ``run_ibea`` at mu = 50
     completes."""
     inst = make_instance("heavy4", [(0, 0), (0, 3), (4, 3), (4, 0)],
                          [Item(20, 10**17, 2), Item(30, 10**17, 3), Item(25, 2 * 10**17, 4)],
                          capacity=3 * 10**17, vmin=0.1, vmax=1.0, rent=1.0)
-    assert validate(inst) == []
     rng = np.random.default_rng(0)
     tours_ = [random_tour(rng, 4) for _ in range(50)]
     assert len(tours_) * (inst.capacity + 1) > 2**63 - 1

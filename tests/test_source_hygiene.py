@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with ``ast`` alone: no module keeps
-an import it does not use, and no private top-level function or class
-outlives its last use (a helper orphaned when its one caller goes)."""
+an import it does not use, no private top-level function or class
+outlives its last use (a helper orphaned when its one caller goes), and a
+dataclass's ``__post_init__`` sets only its derived fields."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,38 @@ def test_every_private_helper_is_referenced(path):
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
     assert not orphans, f"{path.name} defines but never uses: {', '.join(orphans)}"
+
+
+def _declared_init_false(stmt):
+    """Whether the class-body statement ``stmt`` declares a field through
+    ``field(..., init=False, ...)``."""
+    value = stmt.value if isinstance(stmt, ast.AnnAssign) else None
+    return (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field"
+            and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in value.keywords))
+
+
+def test_post_init_sets_only_init_false_fields():
+    """Each field that a ``__post_init__`` sets through ``object.__setattr__``
+    is declared ``field(init=False)``, so neither the constructor nor
+    ``dataclasses.replace`` takes a value that ``__post_init__`` overwrites
+    or that disagrees with the fields it is derived from."""
+    found, problems = [], []
+    for path, tree in sorted(TREES.items()):
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            derived = {stmt.target.id for stmt in cls.body if _declared_init_false(stmt)}
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                    continue
+                for call in ast.walk(fn):
+                    if not (isinstance(call, ast.Call) and ast.unparse(call.func) ==
+                            "object.__setattr__"):
+                        continue
+                    name = call.args[1]
+                    found.append(f"{cls.name}.{ast.unparse(name)}")
+                    if not (isinstance(name, ast.Constant) and name.value in derived):
+                        problems.append(f"{path.name}: {cls.name} sets {ast.unparse(name)} "
+                                        f"(line {call.lineno})")
+    assert "Instance.'nu'" in found
+    assert not problems, f"set by __post_init__ but not init=False: {', '.join(problems)}"

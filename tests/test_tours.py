@@ -49,6 +49,19 @@ def test_is_valid_tour_rejects_empty():
     assert is_valid_tour(np.zeros(0, np.int64)) is False
 
 
+def test_make_tour_checks_the_instance_size():
+    assert make_tour([1, 3, 2], 3).tolist() == [1, 3, 2]
+    with pytest.raises(ValueError, match=r"^tour has 3 cities, the instance has n=4$"):
+        make_tour([1, 3, 2], 4)
+    assert is_valid_tour(make_tour([1, 3, 2]), 3) and not is_valid_tour(make_tour([1, 3, 2]), 4)
+
+
+@pytest.mark.parametrize("cities", [1, "1234", None, {1: 1}])
+def test_make_tour_refuses_a_non_sequence(cities):
+    with pytest.raises(ValueError, match="^a tour must be a list of city numbers, not "):
+        make_tour(cities)
+
+
 def test_two_opt_examples():
     t = make_tour([1, 2, 3, 4])
     assert two_opt_mutate(t, 2, 3).tolist() == [1, 3, 2, 4]
