@@ -87,12 +87,10 @@ def box_stats(values):
 # ---------------------------------------------------------------------------
 
 def write_records(path, records):
-    """One JSON line per ``RunRecord``: its :data:`RECORD_KEYS`, then
-    ``wall_ms``.  Its surface points are not written: no reader reads them."""
-    keys = RECORD_KEYS + ("wall_ms",)
+    """One JSON line per ``RunRecord``: its :data:`RECORD_KEYS`, then ``wall_ms``."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps({k: getattr(rec, k) for k in keys}) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(rec)) + "\n")
 
 
 def _invalid_json(where, exc):

@@ -73,11 +73,8 @@ class Individual:
 
 @dataclass
 class RunRecord:
-    """One generation's outcome.  ``surface_points`` (the population
-    surface's ``(reward, weight)`` pairs) is kept in memory only, for the
-    callback and the tests; ``bench_cli.write_records`` writes the rest."""
+    """One generation's outcome, as ``bench_cli.write_records`` writes it."""
     generation: int
-    surface_points: list
     population_hv: float
     best_reward: float
     archive_hv: float
@@ -86,8 +83,9 @@ class RunRecord:
 
 @dataclass
 class RunResult:
-    """``best_reward`` is the archive's top point and ``best_tour`` its tour,
-    the orientation that ``best_plan`` is packed on."""
+    """``records`` holds one RunRecord per generation run.  ``best_reward``
+    is the archive's top point and ``best_tour`` its tour, the orientation
+    that ``best_plan`` is packed on."""
     records: list
     best_reward: float
     best_tour: np.ndarray
@@ -286,11 +284,9 @@ def run_ibea(inst: Instance, cfg: IbeaConfig, callback=None) -> RunResult:
         pop += [Individual(tour=t, front=f) for t, f in zip(children, batch)]
         pool = compute_indicators(pop, cfg.indicator)
         pop = survivor_select(pop, cfg.mu, rng_tie, cfg.indicator, pool)
-        surf = pool.surface
         rec = RunRecord(
             generation=gen,
-            surface_points=list(zip(surf.rewards.tolist(), surf.weights.tolist())),
-            population_hv=fr._hv(surf.rewards, surf.weights, inst.capacity),
+            population_hv=fr._hv(pool.surface.rewards, pool.surface.weights, inst.capacity),
             best_reward=archive.best_reward,
             archive_hv=archive.hv(),
             wall_ms=(time.perf_counter() - t0) * 1e3,

@@ -83,8 +83,8 @@ def _ceil2d(a, b):
 def make_instance(name, coords, items, capacity, vmin, vmax, rent):
     """The Instance of in-memory data, converted to its field types."""
     return Instance(name=name, coords=np.asarray(coords, np.float64), items=tuple(items),
-                    capacity=int(capacity), vmin=float(vmin), vmax=float(vmax),
-                    rent=float(rent))
+                    capacity=int(capacity) if isinstance(capacity, np.integer) else capacity,
+                    vmin=float(vmin), vmax=float(vmax), rent=float(rent))
 
 
 def distance(inst: Instance, i: int, j: int) -> int:
@@ -177,14 +177,14 @@ def _numbered_rows(lines, count, plural, kind, number, fields):
 
 def _check_ranges(coords, items, capacity):
     """Raise InstanceFormatError at the first city count, item, coordinate
-    or capacity value outside its range or beyond int64.
+    or capacity value of the wrong type, outside its range or beyond int64.
 
     There is at least one city, city 1, the depot.  Each item sits on one
     of the cities 2..n (the depot holds no items), and its profit and
-    weight are positive integers.  Coordinates must be finite, and the
-    longest conceivable tour must stay below ``LENGTH_LIMIT``.  The total
-    profit and the total weight of all items must fit in int64, so every
-    packing's weight does too, and so must the capacity.
+    weight are positive integers.  Coordinates are a finite (n, 2) float64
+    array, and the longest conceivable tour must stay below ``LENGTH_LIMIT``.
+    The total profit and the total weight of all items must fit in int64, so
+    every packing's weight does too, and so must the integer capacity.
     """
     n = len(coords)
     if n < 1:
@@ -192,12 +192,15 @@ def _check_ranges(coords, items, capacity):
     for i, it in enumerate(items, start=1):
         if it.node == 1:
             raise InstanceFormatError(f"item {i} at depot (city 1 holds no items)")
-        if not (2 <= it.node <= n):
+        if not (2 <= it.node <= n and it.node % 1 == 0):
             raise InstanceFormatError(f"item {i} node {it.node} out of range [2, {n}]")
         for name in ("profit", "weight"):
             value = getattr(it, name)
-            if value <= 0 or int(value) != value:
+            if not (value > 0 and value % 1 == 0):    # refuses NaN and infinities too
                 raise InstanceFormatError(f"item {i} {name} not a positive integer")
+    if not (isinstance(coords, np.ndarray) and coords.dtype == np.float64
+            and coords.shape[1:] == (2,)):
+        raise InstanceFormatError("coordinates must be an (n, 2) float64 array")
     if not np.all(np.isfinite(coords)):
         raise InstanceFormatError("coordinates must be finite")
     if _longest_tour(coords) >= LENGTH_LIMIT:
@@ -207,6 +210,8 @@ def _check_ranges(coords, items, capacity):
         if total > INT64_MAX:
             raise InstanceFormatError(
                 f"items' total {name} {total} is beyond int64 ({INT64_MAX})")
+    if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool):
+        raise InstanceFormatError(f"CAPACITY OF KNAPSACK {capacity!r} is not an integer")
     if capacity > INT64_MAX:
         raise InstanceFormatError(
             f"CAPACITY OF KNAPSACK {capacity} is beyond int64 ({INT64_MAX})")

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttpsolve import evolve, fronts
 from ttpsolve.instance_io import Item, make_instance
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -52,3 +53,28 @@ def random_instance(rng, n_max=6, m_max=12, c_max=30):
 
 def random_tour(rng, n):
     return np.concatenate(([1], rng.permutation(np.arange(2, n + 1)))).astype(np.int64)
+
+
+def run_with_surfaces(inst, cfg):
+    """``run_ibea(inst, cfg)`` and each generation's population surface as
+    ``(reward, weight)`` pairs: the surface of the pool that the generation
+    scored against, read after the trim.  Each record's ``population_hv``
+    must be that surface's HV."""
+    pool, surfaces, compute_indicators = None, [], evolve.compute_indicators
+
+    def keeping_compute_indicators(pop, kind):
+        nonlocal pool
+        pool = compute_indicators(pop, kind)
+        return pool
+
+    def on_record(rec):
+        surf = pool.surface
+        assert rec.population_hv == fronts._hv(surf.rewards, surf.weights, inst.capacity)
+        surfaces.append(list(zip(surf.rewards.tolist(), surf.weights.tolist())))
+
+    evolve.compute_indicators = keeping_compute_indicators
+    try:
+        res = evolve.run_ibea(inst, cfg, callback=on_record)
+    finally:
+        evolve.compute_indicators = compute_indicators
+    return res, surfaces

@@ -1012,8 +1012,8 @@ def test_cli_run_flags_reach_summary_config(tiny4_file, tmp_path, monkeypatch):
 
 
 def test_write_records_line_holds_the_checked_keys_then_wall_ms(tmp_path):
-    records = [RunRecord(generation=g, surface_points=[(0.1 + 0.2, 2), (7.5, 4)],
-                         population_hv=g / 3, best_reward=-math.inf if g == 0 else 7.5 * g,
+    records = [RunRecord(generation=g, population_hv=g / 3,
+                         best_reward=-math.inf if g == 0 else 7.5 * g,
                          archive_hv=1e-300 * g, wall_ms=0.25 + g)
                for g in range(3)]
     path = tmp_path / "rep_000.jsonl"
@@ -1025,6 +1025,11 @@ def test_write_records_line_holds_the_checked_keys_then_wall_ms(tmp_path):
         assert list(got) == ["generation", "population_hv", "best_reward", "archive_hv",
                              "wall_ms"]
         assert got == {k: getattr(rec, k) for k in got}
+
+
+def test_run_record_fields_are_the_record_line_keys():
+    """A RunRecord holds what its record line holds and nothing else."""
+    assert [f.name for f in dataclasses.fields(RunRecord)] == [*RECORD_KEYS, "wall_ms"]
 
 
 def test_run_dir_with_surface_lists_still_reads(tiny4_file, tmp_path, monkeypatch):

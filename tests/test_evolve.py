@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import re
+import tracemalloc
 from types import SimpleNamespace
 from typing import get_args
 
 import numpy as np
 import pytest
 
-from conftest import INSTANCES
+from conftest import INSTANCES, run_with_surfaces
 
 from ttpsolve import evolve, fronts, pwt_dp, tours
 from ttpsolve.evolve import (
@@ -248,12 +250,33 @@ def test_run_alpha_zero(tiny4):
     assert len(res.final_population) == 4
 
 
+def test_run_result_memory_is_flat_in_the_generations():
+    """The memory that a ``run_ibea`` result holds grows by at most 1 KB per
+    generation from 50 to 200 generations on eil51.  With each record's
+    surface list it grew by about 4.5 KB per generation."""
+    eil51 = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
+
+    def held(generations):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = run_ibea(eil51, IbeaConfig(mu=10, generations=generations,
+                                             seeding_generations=50, seed=1))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert (held(200) - held(50)) / 150 <= 1024
+
+
 def test_run_determinism(tiny4):
     cfg = IbeaConfig(mu=4, generations=12, seed=77, seeding_generations=20)
-    a = run_ibea(tiny4, cfg)
-    b = run_ibea(tiny4, cfg)
+    a, a_surfaces = run_with_surfaces(tiny4, cfg)
+    b, b_surfaces = run_with_surfaces(tiny4, cfg)
     assert a.best_reward == b.best_reward
-    assert [r.surface_points for r in a.records] == [r.surface_points for r in b.records]
+    assert a_surfaces == b_surfaces
     assert a.best_tour.tolist() == b.best_tour.tolist()
 
 
@@ -304,16 +327,18 @@ def test_final_population_fronts_values_and_surface(tiny4, indicator, both):
     record's surface are those of the final population."""
     eil51 = parse_instance((INSTANCES / "eil51_n50_uncorr.ttp").read_text())
     for inst, seed in ((tiny4, 3), (eil51, 1)):
-        res = run_ibea(inst, IbeaConfig(mu=6, generations=21, seed=seed, seeding_generations=20,
-                                        indicator=indicator, both_orientations=both))
+        res, surfaces = run_with_surfaces(inst, IbeaConfig(
+            mu=6, generations=21, seed=seed, seeding_generations=20,
+            indicator=indicator, both_orientations=both))
         pop = res.final_population
         for ind in pop:
             assert ind.front.tour.tolist() == _top_orientation(inst, ind.tour, both).tolist()
             _assert_same_points(ind.front, _fresh_front(inst, ind.tour, both))
         surf = fronts.surface([ind.front for ind in pop])
         assert [ind.value for ind in pop] == fronts.all_indicators(surf, indicator).tolist()
-        assert res.records[-1].surface_points == list(zip(surf.rewards.tolist(),
-                                                          surf.weights.tolist()))
+        assert surfaces[-1] == list(zip(surf.rewards.tolist(), surf.weights.tolist()))
+        assert res.records[-1].population_hv == fronts._hv(surf.rewards, surf.weights,
+                                                           inst.capacity)
 
 
 @pytest.mark.parametrize("both", [False, True])

@@ -25,9 +25,9 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import INSTANCES
+from conftest import INSTANCES, run_with_surfaces
 
-from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig, run_ibea
+from ttpsolve.evolve import SELECTION_SCHEMES, IbeaConfig
 from ttpsolve.fronts import INDICATOR_KINDS
 from ttpsolve.instance_io import parse_instance
 
@@ -140,17 +140,17 @@ def _eil51():
 
 def run_digest(indicator, selection, both, seeding):
     """sha256 of one run at mu = lambda = 10 and 5 generations, seed 1."""
-    res = run_ibea(_eil51(), IbeaConfig(mu=10, lam=10, generations=5, seed=1,
-                                        indicator=indicator, selection=selection,
-                                        both_orientations=both, seeding_generations=seeding))
+    res, surfaces = run_with_surfaces(_eil51(), IbeaConfig(
+        mu=10, lam=10, generations=5, seed=1, indicator=indicator, selection=selection,
+        both_orientations=both, seeding_generations=seeding))
     digest = hashlib.sha256()
 
     def put(values, dtype=np.float64):
         digest.update(np.asarray(values, dtype).tobytes())
 
-    for rec in res.records:
+    for rec, points in zip(res.records, surfaces, strict=True):
         put([rec.generation, rec.population_hv, rec.best_reward, rec.archive_hv])
-        put(rec.surface_points)
+        put(points)
     for ind in res.final_population:
         put(ind.tour, np.int64)
         put([ind.value])

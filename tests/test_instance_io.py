@@ -207,6 +207,46 @@ def test_replace_and_make_instance_refuse_what_parse_refuses(tiny4, old, new, fi
         make_instance(**{**fields, field: value})
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("capacity", 5.5, "CAPACITY OF KNAPSACK 5.5 is not an integer"),
+    ("capacity", True, "CAPACITY OF KNAPSACK True is not an integer"),
+    ("items", (Item(math.nan, 2, 2),) + _TINY4_ITEMS[1:], "item 1 profit not a positive integer"),
+    ("items", (Item(20, math.inf, 2),) + _TINY4_ITEMS[1:], "item 1 weight not a positive integer"),
+    ("items", (Item(20, 2, 2.5),) + _TINY4_ITEMS[1:], "item 1 node 2.5 out of range [2, 4]"),
+], ids=["fractional-capacity", "bool-capacity", "nan-profit", "inf-weight", "fractional-node"])
+def test_replace_and_make_instance_refuse_values_of_the_wrong_type(tiny4, field, value, problem):
+    """Built or replaced, capacity 5.5 gave capacity 5 and True capacity 1;
+    a NaN profit raised a bare ValueError, an infinite weight an
+    OverflowError, and node 2.5 was truncated to city 2."""
+    match = f"^{re.escape(problem)}$"
+    with pytest.raises(InstanceFormatError, match=match):
+        dataclasses.replace(tiny4, **{field: value})
+    fields = dict(name="bad", coords=tiny4.coords, items=tiny4.items, capacity=tiny4.capacity,
+                  vmin=tiny4.vmin, vmax=tiny4.vmax, rent=tiny4.rent)
+    with pytest.raises(InstanceFormatError, match=match):
+        make_instance(**{**fields, field: value})
+
+
+def test_constructor_refuses_coordinates_that_are_not_an_array(tiny4):
+    """A list of coordinates raised an AttributeError; ``make_instance``
+    converts one to its array."""
+    coords = tiny4.coords.tolist()
+    with pytest.raises(InstanceFormatError, match=r"^coordinates must be an \(n, 2\) float64 "):
+        dataclasses.replace(tiny4, coords=coords)
+    built = make_instance("list", coords, tiny4.items, 5, 0.1, 1.0, 1.0)
+    assert built.coords.tobytes() == tiny4.coords.tobytes()
+
+
+def test_integer_numpy_capacity_builds(tiny4):
+    """``make_instance`` converts it to an int; ``replace`` keeps it."""
+    built = make_instance("np", tiny4.coords, tiny4.items, np.int64(5), 0.1, 1.0, 1.0)
+    assert type(built.capacity) is int and built.capacity == 5
+    replaced = dataclasses.replace(tiny4, capacity=np.int64(5))
+    t = make_tour([1, 2, 3, 4])
+    for inst in (built, replaced):
+        assert dp_front(inst, t).rewards.tobytes() == dp_front(tiny4, t).rewards.tobytes()
+
+
 @pytest.mark.parametrize("vmin, vmax", [("2.0", "1.0"), ("1.0", "1.0"),
                                         ("0", "1.0"), ("-0.1", "1.0")])
 def test_parse_rejects_degenerate_speed_range(vmin, vmax):
